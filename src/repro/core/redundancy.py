@@ -25,7 +25,10 @@ AND/OR gate on the unique path to the output has a controlling side input
 (Property 5: XOR gates never block).  Reducing a gate changes the don't
 cares of everything below it — the paper's domino effect toward the PIs
 (Properties 6-7) — so we apply one reduction at a time, root-first, and
-re-derive all conditions before the next one.
+re-derive all conditions before the next one.  After a literal rewrite
+only the conditions that can change are re-derived: the rewritten leaf's
+path to the root and the subtrees hanging off it
+(``RedundancyRemover._update_after_literal``).
 
 Relevance is decided in two stages, mirroring the paper:
 
@@ -80,23 +83,53 @@ class ReductionStats:
 
 @dataclass
 class _Analysis:
-    """Per-pass derived data: values, observability, BDDs, parents.
+    """Derived data per node, keyed by ``id``: values, BDDs, supports,
+    observability, parents, and memoised scan decisions.
 
+    ``values``, ``bdds`` and ``support`` depend on a node's subtree
+    only; ``observable`` and the ODC tables on its path to the root.
     ODC BDDs are materialized lazily (see ``RedundancyRemover._odc``):
     ``odcs`` holds only the roots plus whatever has been demanded so
     far, ``odc_zero`` answers the cheap ``odc == 0`` filter without any
     BDD work, and ``odc_parts`` records how to build the rest on
     demand — ``(parent_key,)`` for XOR/NOT children (same ODC) or
     ``(parent_key, sibling_bdd, "and"|"or")`` for AND/OR children.
+
+    A failed decision is a function of these tables alone, so it holds
+    until one of its node's entries changes.  ``xor_memo`` keeps the
+    ``(decided_by_simulation, decided_by_engine)`` delta of each failed
+    XOR decision, ``xor_clean`` the summed delta of every subtree whose
+    XOR decisions are all memoised, and ``lit_clean`` the subtrees whose
+    literals all failed; the scans skip those subtrees and replay the
+    deltas.
     """
 
     values: dict[int, int] = field(default_factory=dict)
     observable: dict[int, int] = field(default_factory=dict)
     bdds: dict[int, int] = field(default_factory=dict)
+    support: dict[int, int] = field(default_factory=dict)
+    parent: dict[int, TNode | None] = field(default_factory=dict)
     odcs: dict[int, int] = field(default_factory=dict)
     odc_zero: dict[int, bool] = field(default_factory=dict)
     odc_parts: dict[int, tuple] = field(default_factory=dict)
-    preorder: list[TNode] = field(default_factory=list)
+    xor_memo: dict[int, tuple[int, int]] = field(default_factory=dict)
+    xor_clean: dict[int, tuple[int, int]] = field(default_factory=dict)
+    lit_clean: set[int] = field(default_factory=set)
+
+    def forget(self, key: int) -> None:
+        """Drop every entry of a node that left the tree (CPython reuses
+        the ``id`` of a freed object, so none may outlive its node)."""
+        for table in (self.values, self.observable, self.bdds, self.support,
+                      self.parent, self.odcs, self.odc_zero, self.odc_parts,
+                      self.xor_memo, self.xor_clean):
+            table.pop(key, None)
+        self.lit_clean.discard(key)
+
+    def forget_decisions(self, key: int) -> None:
+        """Drop a node's memoised decision and subtree aggregates."""
+        self.xor_memo.pop(key, None)
+        self.xor_clean.pop(key, None)
+        self.lit_clean.discard(key)
 
 
 class RedundancyRemover:
@@ -110,6 +143,7 @@ class RedundancyRemover:
         self.options = options
         self.stats = ReductionStats()
         self._patterns = self._make_patterns()
+        self._all_bits = (1 << len(self._patterns)) - 1
         self._lit_cols = self._literal_columns(self._patterns)
         self._bdd: BddManager | None = None
         self._original_bdd: int | None = None
@@ -129,21 +163,27 @@ class RedundancyRemover:
         # Reuse an analysis as long as the tree is untouched: the
         # baseline covers the first pass whenever the initial simplify
         # is a no-op (the common case — factorization emits normalized
-        # trees), and a pass that applied nothing leaves every node and
-        # therefore every id-keyed table valid.
+        # trees).  A pass that rewrote one literal updates it in place
+        # (most passes do exactly that); XOR rewrites re-analyse in full.
         analysis: _Analysis | None = baseline
+        leaf: TNode | None = None
         while True:
-            self.root, tree_changed = tr.simplify_tree_tracked(self.root)
             try:
-                if tree_changed or analysis is None:
-                    analysis = self._analyze()
-                progressed = self._reduce_pass(analysis)
+                if leaf is not None:
+                    assert analysis is not None
+                    analysis = self._update_after_literal(analysis, leaf)
+                else:
+                    self.root, tree_changed = tr.simplify_tree_tracked(self.root)
+                    if tree_changed or analysis is None:
+                        analysis = self._analyze()
+                progressed, leaf = self._reduce_pass(analysis)
             except ReproError:
                 self.stats.skipped_no_engine += 1
                 break
             if not progressed:
                 break
-            analysis = None  # reductions mutated the tree in place
+            if leaf is None:
+                analysis = None  # XOR reductions mutated the tree in place
         self.root = tr.simplify_tree(self.root)
         return self.root
 
@@ -185,50 +225,62 @@ class RedundancyRemover:
             columns.append(column)
         return columns
 
-    # -- per-pass analysis ---------------------------------------------------------
+    # -- analysis ------------------------------------------------------------------
 
     def _analyze(self) -> _Analysis:
-        # Iterative traversals with hoisted locals: the analysis runs
-        # once per reduction pass over the whole tree, making the Python
-        # recursion overhead of the obvious formulation a confirmed
-        # flow hotspot.  All orders (post-order values, pre-order
-        # observability) match the recursive version exactly.
+        # Iterative traversals with hoisted locals: the full analysis
+        # runs over the whole tree, making the Python recursion overhead
+        # of the obvious formulation a confirmed flow hotspot.  All
+        # orders (post-order values, pre-order observability) match the
+        # recursive version exactly.
         analysis = _Analysis()
-        all_bits = (1 << len(self._patterns)) - 1
-        bdd = self._bdd
-        assert bdd is not None
-        values = analysis.values
-        bdds = analysis.bdds
-        observable = analysis.observable
-        odcs = analysis.odcs
-        preorder = analysis.preorder
-        lit_cols = self._lit_cols
-
         post: list[TNode] = []
         stack = [self.root]
         while stack:
             node = stack.pop()
             post.append(node)
             stack.extend(node.kids)
-        for node in reversed(post):  # kids before parents
+        post.reverse()  # kids before parents
+        self._evaluate(analysis, post)
+        analysis.parent[id(self.root)] = None
+        analysis.odcs[id(self.root)] = 0
+        analysis.odc_zero[id(self.root)] = True
+        self._derive(analysis, self.root, self._all_bits)
+        return analysis
+
+    def _evaluate(self, analysis: _Analysis, nodes) -> None:
+        """Values, BDDs and supports of ``nodes``, kids before parents."""
+        all_bits = self._all_bits
+        bdd = self._bdd
+        assert bdd is not None
+        values = analysis.values
+        bdds = analysis.bdds
+        support = analysis.support
+        lit_cols = self._lit_cols
+        for node in nodes:
             key = id(node)
             op = node.op
             if op == tr.LIT:
                 values[key] = lit_cols[node.var]
                 bdds[key] = bdd.var(node.var)
+                support[key] = 1 << node.var
             elif op == tr.C0:
                 values[key] = 0
                 bdds[key] = 0
+                support[key] = 0
             elif op == tr.C1:
                 values[key] = all_bits
                 bdds[key] = 1
+                support[key] = 0
             elif op == tr.NOT:
                 kid = id(node.kids[0])
                 values[key] = values[kid] ^ all_bits
                 bdds[key] = bdd.not_(bdds[kid])
+                support[key] = support[kid]
             else:
                 a = id(node.kids[0])
                 b = id(node.kids[1])
+                support[key] = support[a] | support[b]
                 if op == tr.AND:
                     values[key] = values[a] & values[b]
                     bdds[key] = bdd.and_(bdds[a], bdds[b])
@@ -239,6 +291,15 @@ class RedundancyRemover:
                     values[key] = values[a] ^ values[b]
                     bdds[key] = bdd.xor_(bdds[a], bdds[b])
 
+    def _derive(self, analysis: _Analysis, start: TNode,
+                obs: int) -> list[TNode]:
+        """Observability, ODC parts and parents of ``start``'s proper
+        descendants.
+
+        ``start`` is observable on ``obs``, and its own ``odc_zero`` and
+        ``odc_parts`` (or ``odcs`` entry, for the root) are already set.
+        Returns the subtree in pre-order.
+        """
         # Pre-order: Property 5 — XOR gates have no controlling value;
         # AND/OR gates mask observability with the sibling's value and
         # grow the ODC with the sibling's controlling condition.  The
@@ -250,52 +311,149 @@ class RedundancyRemover:
         # demand by :meth:`_odc`; since every consuming decision is a
         # canonical-node comparison, deferring the construction cannot
         # change any result.
+        all_bits = self._all_bits
+        values = analysis.values
+        bdds = analysis.bdds
+        observable = analysis.observable
         odc_zero = analysis.odc_zero
         odc_parts = analysis.odc_parts
-        odcs[id(self.root)] = 0
-        odc_zero[id(self.root)] = True
-        up_stack: list[tuple[TNode, int]] = [(self.root, all_bits)]
-        while up_stack:
-            node, obs = up_stack.pop()
+        parent = analysis.parent
+        visited: list[TNode] = []
+        stack: list[tuple[TNode, int]] = [(start, obs)]
+        while stack:
+            node, obs = stack.pop()
             key = id(node)
             observable[key] = obs
-            preorder.append(node)
+            visited.append(node)
             op = node.op
             if op == tr.NOT:
                 kid = node.kids[0]
-                odc_parts[id(kid)] = (key,)
-                odc_zero[id(kid)] = odc_zero[key]
-                up_stack.append((kid, obs))
-            elif op == tr.XOR:
-                a, b = node.kids
-                zero = odc_zero[key]
-                odc_parts[id(a)] = (key,)
-                odc_zero[id(a)] = zero
-                odc_parts[id(b)] = (key,)
-                odc_zero[id(b)] = zero
-                up_stack.append((b, obs))
-                up_stack.append((a, obs))
+                k = id(kid)
+                parent[k] = node
+                odc_parts[k] = (key,)
+                odc_zero[k] = odc_zero[key]
+                stack.append((kid, obs))
+                continue
+            if op == tr.LIT or op == tr.C0 or op == tr.C1:
+                continue
+            a, b = node.kids
+            ka, kb = id(a), id(b)
+            parent[ka] = parent[kb] = node
+            zero = odc_zero[key]
+            if op == tr.XOR:
+                odc_parts[ka] = odc_parts[kb] = (key,)
+                odc_zero[ka] = odc_zero[kb] = zero
+                stack.append((b, obs))
+                stack.append((a, obs))
             elif op == tr.AND:
-                a, b = node.kids
-                zero = odc_zero[key]
-                ab, bb = bdds[id(a)], bdds[id(b)]
-                odc_parts[id(a)] = (key, bb, "and")
-                odc_zero[id(a)] = zero and bb == 1
-                odc_parts[id(b)] = (key, ab, "and")
-                odc_zero[id(b)] = zero and ab == 1
-                up_stack.append((b, obs & values[id(a)]))
-                up_stack.append((a, obs & values[id(b)]))
-            elif op == tr.OR:
-                a, b = node.kids
-                zero = odc_zero[key]
-                ab, bb = bdds[id(a)], bdds[id(b)]
-                odc_parts[id(a)] = (key, bb, "or")
-                odc_zero[id(a)] = zero and bb == 0
-                odc_parts[id(b)] = (key, ab, "or")
-                odc_zero[id(b)] = zero and ab == 0
-                up_stack.append((b, obs & (values[id(a)] ^ all_bits)))
-                up_stack.append((a, obs & (values[id(b)] ^ all_bits)))
+                ab, bb = bdds[ka], bdds[kb]
+                odc_parts[ka] = (key, bb, "and")
+                odc_zero[ka] = zero and bb == 1
+                odc_parts[kb] = (key, ab, "and")
+                odc_zero[kb] = zero and ab == 1
+                stack.append((b, obs & values[ka]))
+                stack.append((a, obs & values[kb]))
+            else:
+                ab, bb = bdds[ka], bdds[kb]
+                odc_parts[ka] = (key, bb, "or")
+                odc_zero[ka] = zero and bb == 0
+                odc_parts[kb] = (key, ab, "or")
+                odc_zero[kb] = zero and ab == 0
+                stack.append((b, obs & (values[ka] ^ all_bits)))
+                stack.append((a, obs & (values[kb] ^ all_bits)))
+        return visited
+
+    def _update_after_literal(self, analysis: _Analysis,
+                              leaf: TNode) -> _Analysis:
+        """Bring ``analysis`` up to date after ``leaf`` became a constant.
+
+        The rest of the tree is normalized, so only ``leaf``'s ancestors
+        need re-folding.  Subtree data (value, BDD, support) changes
+        from the fold point up to the first ancestor where it comes out
+        the same; path data changes for the fold point's subtree and for
+        the subtrees hanging off AND/OR gates on that stretch (XOR and
+        NOT gates pass observability through unchanged, Property 5).
+        Everything else — tables and memoised decisions — stays valid.
+        """
+        parent = analysis.parent
+        # Nodes that leave the tree stay referenced here until their
+        # entries are gone, so no new node can take over their ids.
+        dropped: list[TNode] = []
+        node = leaf
+        up = parent[id(leaf)]
+        while up is not None:
+            folded = tr.fold_node(up)
+            if folded is up:
+                break
+            dropped += _detached(up, folded)
+            grand = parent[id(up)]
+            if grand is None:
+                self.root = folded
+            else:
+                grand.kids[0 if grand.kids[0] is up else 1] = folded
+            node, up = folded, grand
+        for gone in dropped:
+            analysis.forget(id(gone))
+
+        # The fold point is new or moved: fresh subtree and path data.
+        parent[id(node)] = up
+        self._evaluate(analysis, (node,))
+        self._rederive(analysis, up, node)
+
+        values, bdds, support = analysis.values, analysis.bdds, analysis.support
+        while up is not None:
+            if up.op in (tr.AND, tr.OR):
+                a, b = up.kids
+                self._rederive(analysis, up, b if a is node else a)
+            key = id(up)
+            before = (values[key], bdds[key], support[key])
+            self._evaluate(analysis, (up,))
+            analysis.forget_decisions(key)
+            if (values[key], bdds[key], support[key]) == before:
+                break
+            node, up = up, parent[key]
+        # Every remaining ancestor's subtree holds changed nodes.
+        while up is not None:
+            key = id(up)
+            analysis.xor_clean.pop(key, None)
+            analysis.lit_clean.discard(key)
+            up = parent[key]
         return analysis
+
+    def _rederive(self, analysis: _Analysis, up: TNode | None,
+                  kid: TNode) -> None:
+        """Re-derive path data for ``kid``'s subtree below ``up``."""
+        key = id(kid)
+        odcs = analysis.odcs
+        if up is None:
+            analysis.odc_parts.pop(key, None)
+            analysis.odc_zero[key] = True
+            obs = self._all_bits
+        else:
+            up_key = id(up)
+            if up.op in (tr.AND, tr.OR):
+                a, b = up.kids
+                sibling = id(b if a is kid else a)
+                sibling_bdd = analysis.bdds[sibling]
+                value = analysis.values[sibling]
+                if up.op == tr.AND:
+                    analysis.odc_parts[key] = (up_key, sibling_bdd, "and")
+                    zero = sibling_bdd == 1
+                else:
+                    analysis.odc_parts[key] = (up_key, sibling_bdd, "or")
+                    zero = sibling_bdd == 0
+                    value ^= self._all_bits
+                analysis.odc_zero[key] = analysis.odc_zero[up_key] and zero
+                obs = analysis.observable[up_key] & value
+            else:
+                analysis.odc_parts[key] = (up_key,)
+                analysis.odc_zero[key] = analysis.odc_zero[up_key]
+                obs = analysis.observable[up_key]
+        for node in self._derive(analysis, kid, obs):
+            odcs.pop(id(node), None)
+            analysis.forget_decisions(id(node))
+        if up is None:
+            odcs[key] = 0
 
     def _odc(self, key: int, analysis: _Analysis) -> int:
         """The ODC BDD for node ``key``, built (and memoized) on demand.
@@ -329,7 +487,7 @@ class RedundancyRemover:
 
     # -- the reduction step -------------------------------------------------------
 
-    def _reduce_pass(self, analysis: _Analysis) -> bool:
+    def _reduce_pass(self, analysis: _Analysis) -> tuple[bool, TNode | None]:
         """Apply a batch of reductions in disjoint subtrees (root-first).
 
         All conditions come from the same pre-pass analysis; a reduction in
@@ -337,35 +495,98 @@ class RedundancyRemover:
         one in a *sibling* subtree (the don't-care sets interact), so the
         whole batch is checked against the original function and rolled
         back to one-at-a-time application if it ever disagrees.
+
+        Returns whether anything was applied, and the literal leaf when
+        the pass rewrote exactly one literal (and nothing else).
         """
         applied: list[tuple[TNode, TNode]] = []
-
-        def scan(node: TNode) -> None:
-            if node.op == tr.XOR:
-                backup = TNode(node.op, list(node.kids), node.var)
-                if self._try_reduce_xor(node, analysis):
-                    applied.append((node, backup))
-                    return  # do not descend into a rewritten subtree
-            for kid in node.kids:
-                scan(kid)
-
-        scan(self.root)
+        self._scan_xors(self.root, analysis, applied)
         if self.options.literal_cleanup and not applied:
-            for node in analysis.preorder:
-                if node.op == tr.LIT and self._try_reduce_literal(node, analysis):
-                    return True
+            leaf = self._scan_literals(self.root, analysis)[0]
+            if leaf is not None:
+                return True, leaf
         if not applied:
-            return False
+            return False, None
         if len(applied) > 1 and not self._still_equivalent():
             for node, backup in applied:
                 node.replace_with(backup)
             self.stats.reverted += len(applied)
-            return self._reduce_one(analysis)
-        return True
+            return self._reduce_one(analysis), None
+        return True, None
+
+    # The two scans are methods, not recursive closures: a closure that
+    # calls itself is a reference cycle, which would keep each analysis
+    # alive until the cyclic collector happens to run.
+
+    def _scan_xors(self, node: TNode, analysis: _Analysis,
+                   applied: list[tuple[TNode, TNode]]) -> tuple[int, int] | None:
+        """Try every XOR at or below ``node``, pre-order, appending the
+        rewrites to ``applied``.  Returns the subtree's summed stats delta
+        when every XOR decision in it is memoised, else None."""
+        if not node.kids:
+            return _NO_DELTA
+        stats = self.stats
+        key = id(node)
+        delta = analysis.xor_clean.get(key)
+        if delta is not None:
+            stats.decided_by_simulation += delta[0]
+            stats.decided_by_engine += delta[1]
+            return delta
+        memo = analysis.xor_memo.get(key)
+        if memo is not None:
+            stats.decided_by_simulation += memo[0]
+            stats.decided_by_engine += memo[1]
+        elif node.op == tr.XOR:
+            before = (stats.decided_by_simulation,
+                      stats.decided_by_engine, stats.reverted)
+            backup = TNode(node.op, list(node.kids), node.var)
+            if self._try_reduce_xor(node, analysis):
+                applied.append((node, backup))
+                return None  # do not descend into a rewritten subtree
+            if stats.reverted == before[2]:
+                memo = (stats.decided_by_simulation - before[0],
+                        stats.decided_by_engine - before[1])
+                analysis.xor_memo[key] = memo
+        sim, eng = memo if memo is not None else _NO_DELTA
+        clean = memo is not None or node.op != tr.XOR
+        for kid in node.kids:
+            sub = self._scan_xors(kid, analysis, applied)
+            if sub is None:
+                clean = False
+            elif clean:
+                sim += sub[0]
+                eng += sub[1]
+        if not clean:
+            return None
+        analysis.xor_clean[key] = (sim, eng)
+        return sim, eng
+
+    def _scan_literals(self, node: TNode,
+                       analysis: _Analysis) -> tuple[TNode | None, bool]:
+        """The first literal at or below ``node`` (pre-order) that an
+        untestable fault removes, and whether every literal tried there
+        failed memoisably."""
+        key = id(node)
+        if key in analysis.lit_clean:
+            return None, True
+        clean = True
+        if node.op == tr.LIT:
+            reverted = self.stats.reverted
+            if self._try_reduce_literal(node, analysis):
+                return node, False
+            clean = self.stats.reverted == reverted
+        for kid in node.kids:
+            found, kid_clean = self._scan_literals(kid, analysis)
+            if found is not None:
+                return found, False
+            clean = clean and kid_clean
+        if clean:
+            analysis.lit_clean.add(key)
+        return None, clean
 
     def _reduce_one(self, analysis: _Analysis) -> bool:
         """Fallback: first applicable reduction only (always sound)."""
-        for node in analysis.preorder:
+        for node in self.root.iter_nodes():
             if node.op == tr.XOR and self._try_reduce_xor(node, analysis):
                 return True
         return False
@@ -375,8 +596,9 @@ class RedundancyRemover:
         # Cheap filter from the paper: disjoint-support XOR gates observed
         # through nothing but XOR gates (parity trees, PO join trees) are
         # never reducible.
+        support = analysis.support
         if analysis.odc_zero[id(node)] and not (
-            _tree_support(g) & _tree_support(h)
+            support[id(g)] & support[id(h)]
         ):
             return False
         relevant = frozenset(
@@ -397,7 +619,7 @@ class RedundancyRemover:
         # faults witnessed testable means neither replacement can apply
         # and the ODC BDD is never needed.
         key = id(node)
-        all_bits = (1 << len(self._patterns)) - 1
+        all_bits = self._all_bits
         obs = analysis.observable[key]
         value = analysis.values[key]
         if obs & (value ^ all_bits) and obs & value:
@@ -417,7 +639,7 @@ class RedundancyRemover:
     def _is_relevant(self, node: TNode, pattern: tuple[int, int],
                      analysis: _Analysis) -> bool:
         g, h = node.kids
-        all_bits = (1 << len(self._patterns)) - 1
+        all_bits = self._all_bits
         gv = analysis.values[id(g)]
         hv = analysis.values[id(h)]
         want = (gv if pattern[0] else gv ^ all_bits) & (
@@ -482,8 +704,23 @@ class RedundancyRemover:
         return current == self._original_bdd
 
 
-def _tree_support(node: TNode) -> int:
-    return node.support()
+_NO_DELTA = (0, 0)
+
+
+def _detached(old: TNode, new: TNode) -> list[TNode]:
+    """The nodes of ``old``'s subtree that leave the tree when
+    :func:`tr.fold_node` replaces ``old`` by ``new``."""
+    kept = {id(new)}
+    if new.op == tr.NOT:
+        kept.add(id(new.kids[0]))
+    gone: list[TNode] = []
+    stack = [old]
+    while stack:
+        node = stack.pop()
+        if id(node) not in kept:
+            gone.append(node)
+            stack.extend(node.kids)
+    return gone
 
 
 def _tree_bdd(node: TNode, bdd: BddManager) -> int:

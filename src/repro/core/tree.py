@@ -198,32 +198,46 @@ def simplify_tree_tracked(root: TNode) -> tuple[TNode, bool]:
         if node.op in (LIT, C0, C1):
             return node
         node.kids = [simp(kid) for kid in node.kids]
-        if node.op == NOT:
-            kid = node.kids[0]
-            if kid.op == C0:
-                return TNode.const(1)
-            if kid.op == C1:
-                return TNode.const(0)
-            if kid.op == NOT:
-                return kid.kids[0]
-            return node
-        a, b = node.kids
-        for first, second in ((a, b), (b, a)):
-            if node.op == AND:
-                if first.op == C0:
-                    return TNode.const(0)
-                if first.op == C1:
-                    return second
-            elif node.op == OR:
-                if first.op == C1:
-                    return TNode.const(1)
-                if first.op == C0:
-                    return second
-            elif node.op == XOR:
-                if first.op == C0:
-                    return second
-                if first.op == C1:
-                    return simp(TNode.invert(second))
-        return node
+        return fold_node(node)
 
     return simp(root), changed
+
+
+def fold_node(node: TNode) -> TNode:
+    """One folding step at ``node``, whose kids are already normalized.
+
+    Returns ``node`` itself when no rule applies, else its replacement:
+    a new constant, a new inverter, or one of the existing descendants.
+    Normalized kids make the result normalized too, so re-folding only
+    the ancestors of a rewritten leaf keeps the whole tree normalized.
+    """
+    op = node.op
+    if op in (LIT, C0, C1):
+        return node
+    if op == NOT:
+        kid = node.kids[0]
+        if kid.op == C0:
+            return TNode.const(1)
+        if kid.op == C1:
+            return TNode.const(0)
+        if kid.op == NOT:
+            return kid.kids[0]
+        return node
+    a, b = node.kids
+    for first, second in ((a, b), (b, a)):
+        if op == AND:
+            if first.op == C0:
+                return TNode.const(0)
+            if first.op == C1:
+                return second
+        elif op == OR:
+            if first.op == C1:
+                return TNode.const(1)
+            if first.op == C0:
+                return second
+        elif op == XOR:
+            if first.op == C0:
+                return second
+            if first.op == C1:
+                return fold_node(TNode.invert(second))
+    return node
