@@ -98,7 +98,7 @@ class OverloadedError(ReproError):
 
     Raised at submission time when the job queue is past its high-water
     mark, or when the daemon is in degraded mode (disk headroom low,
-    journal writes failing) and the request's priority class is shed
+    spool writes failing) and the request's priority class is shed
     first.  The HTTP layer maps it to ``503 Service Unavailable`` with a
     ``Retry-After`` header — load shedding is loud and typed, never a
     silent queue that grows until the process dies.

@@ -150,22 +150,16 @@ def _cmd_regressions(args: argparse.Namespace) -> int:
     for key, records in sorted(by_key.items()):
         if len(records) < 2:
             continue
-        prev, last = records[-2], records[-1]
         compared += 1
-        name = last.get("circuit") or key[:16]
-        for field in ("gates", "literals"):
-            b, a = prev.get(field, 0), last.get(field, 0)
-            if a > b:
-                regressions.append(f"{name}: {field} {b} -> {a}")
-        b_secs = float(prev.get("seconds", 0.0))
-        a_secs = float(last.get("seconds", 0.0))
-        delta = a_secs - b_secs
-        if b_secs > 0.0 and delta / b_secs >= args.threshold \
-                and delta >= args.min_seconds:
-            regressions.append(
-                f"{name}: wall {b_secs:.4f}s -> {a_secs:.4f}s "
-                f"(+{100.0 * delta / b_secs:.1f}%)"
-            )
+        # The newest record against the previous one, as two one-entry
+        # snapshots: one gate for snapshots and history alike.
+        name = records[-1].get("circuit") or key[:16]
+        found, _ = compare_snapshots(
+            {"entries": {name: records[-2]}},
+            {"entries": {name: records[-1]}},
+            threshold=args.threshold, min_seconds=args.min_seconds,
+        )
+        regressions.extend(found)
     if regressions:
         print(f"{len(regressions)} regression(s) across {compared} "
               f"tracked key(s):")

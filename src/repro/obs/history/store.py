@@ -74,10 +74,10 @@ def resolve_history_path(explicit: str | None = None) -> str | None:
 def append_jsonl(path: str, record: dict) -> None:
     """Append one record to a JSONL file as a single ``O_APPEND`` write.
 
-    The append-only discipline shared by the run-history store and the
-    serve job journal: whole lines written with one syscall interleave
-    (never interleave bytes) under concurrent writers, and a crash
-    mid-write leaves at most one torn tail line.  Before appending, the
+    The append-only discipline of the run-history store: whole lines
+    written with one syscall interleave (never interleave bytes) under
+    concurrent writers, and a crash mid-write leaves at most one torn
+    tail line.  Before appending, the
     tail is healed: if the last byte is not a newline, the new line is
     prefixed with one so the torn line is terminated instead of glued to
     a fresh record (a resulting blank line is skipped by readers; two

@@ -34,7 +34,8 @@ rest of the tree threads through:
     Deterministic filesystem fault injection (``ENOSPC``/``EIO``/
     partial-write/fsync-failure by call count and path pattern) behind
     the ``open``/``write``/``fsync``/``rename`` primitives used by the
-    journal, disk cache, checkpoint store and history store.
+    serve spool, lease files, disk cache, checkpoint store and history
+    store.
 
 See docs/RESILIENCE.md for the failure taxonomy and the ladder.
 """

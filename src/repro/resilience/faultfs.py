@@ -1,11 +1,11 @@
 """Deterministic filesystem fault injection for the storage stack.
 
-Every durable artifact in the system — the serve job journal, the
-disk-backed result cache, the harness checkpoint store, the run-history
-file — is written through a handful of primitives: ``open``, ``write``,
-``fsync``, ``rename``.  This module wraps exactly those primitives so a
-test (or the disk-fault gauntlet, :mod:`repro.serve.gauntlet` phase C)
-can inject ``ENOSPC``/``EIO``/partial-write/fsync-failure faults
+Every durable artifact in the system — the serve pending-request
+spool and lease files, the disk-backed result cache, the harness
+checkpoint store, the run-history file — is written through a handful
+of primitives: ``open``, ``write``, ``fsync``, ``rename``.  This
+module wraps exactly those primitives so a test (or the disk-fault
+gauntlet, :mod:`repro.serve.gauntlet` phase C) can inject ``ENOSPC``/``EIO``/partial-write/fsync-failure faults
 *deterministically* — by call count and path pattern, not by filling a
 real disk — and assert that the storage layer degrades instead of
 corrupting state or crashing the daemon.
@@ -23,8 +23,8 @@ semicolon-separated rules of colon-separated fields::
 
     write:enospc:path=entries:after=2     # ENOSPC on disk-cache entry
                                           # writes, skipping the first 2
-    fsync:eio:path=journal                # every journal fsync fails
-    write:partial:path=journal:count=1    # one torn journal append
+    fsync:eio:path=entries                # every cache-entry fsync fails
+    write:partial:path=pending:count=1    # one torn spool write
 
 ``op`` is one of ``open``/``write``/``fsync``/``replace`` or ``*``;
 ``kind`` is ``enospc``, ``eio`` or ``partial`` (write a prefix of the
@@ -271,9 +271,9 @@ def fs_replace(src: str, dst: str) -> None:
 def atomic_write_text(path: str, text: str, fsync: bool = True) -> None:
     """Atomic temp+fsync+rename write through the injectable primitives.
 
-    The shared discipline of the disk cache, the checkpoint store and
-    the journal's compaction checkpoint: a reader never sees a
-    half-written file, and a crash (or injected fault) at any point
+    The shared discipline of the disk cache, the checkpoint store, the
+    serve spool and lease files: a reader never sees a half-written
+    file, and a crash (or injected fault) at any point
     leaves either the old content or the new, plus at worst a temp file
     that the next write cleans up by name reuse.
     """

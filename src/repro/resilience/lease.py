@@ -1,6 +1,6 @@
 """Cross-process lease files: pid/heartbeat-stamped mutual exclusion.
 
-When several ``repro-serve`` daemons share one cache/journal directory,
+When several ``repro-serve`` daemons share one cache/state directory,
 two of them must not spend wall-clock synthesizing the same
 ``request_key`` at the same time.  A lease is one small JSON file per
 key under a shared directory:
@@ -17,7 +17,8 @@ the TTL is *stale* (its holder was SIGKILL'd or lost the machine) and
 may be taken over: the challenger atomically renames its own stamp over
 the file and then reads it back, keeping the lease only if its token
 survived (verify-after-write, so two racing challengers resolve to at
-most one owner).
+most one owner).  Every write goes through :mod:`repro.resilience.
+faultfs`, so disk-fault tests reach lease files too.
 
 Leases are an *efficiency* mechanism, not a correctness one: the result
 caches remain last-write-wins with content-identical values for equal
@@ -34,6 +35,8 @@ import socket
 import time
 import uuid
 from dataclasses import dataclass
+
+from repro.resilience import faultfs
 
 __all__ = ["DEFAULT_TTL_SECONDS", "Lease", "LeaseManager"]
 
@@ -121,12 +124,12 @@ class LeaseManager:
         """
         flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
         try:
-            return os.open(path, flags, 0o644)
+            return faultfs.fs_open(path, flags)
         except FileExistsError:
             raise
         except OSError:
             os.makedirs(self.directory, exist_ok=True)
-            return os.open(path, flags, 0o644)
+            return faultfs.fs_open(path, flags)
 
     def try_acquire(self, key: str) -> Lease | None:
         """One attempt to take the lease; ``None`` if a live peer holds it.
@@ -140,8 +143,8 @@ class LeaseManager:
         path = self.path_for(key)
         token = f"{os.getpid()}-{uuid.uuid4().hex[:12]}"
         acquired = self.clock()
-        stamp = self._stamp(key, token, acquired)
-        payload = json.dumps(stamp, sort_keys=True).encode("utf-8")
+        payload = json.dumps(self._stamp(key, token, acquired),
+                             sort_keys=True)
         try:
             fd = self._create_excl(path)
         except FileExistsError:
@@ -151,16 +154,9 @@ class LeaseManager:
             # Stale (or torn) holder: rename our stamp over the file and
             # verify we won — at most one challenger reads its own token
             # back after the dust settles.
-            temp = f"{path}.takeover-{token}"
             try:
-                with open(temp, "wb") as handle:
-                    handle.write(payload)
-                os.replace(temp, path)
+                faultfs.atomic_write_text(path, payload, fsync=False)
             except OSError:
-                try:
-                    os.unlink(temp)
-                except OSError:
-                    pass
                 return None
             after = self.read_stamp(key)
             if after is None or after.get("token") != token:
@@ -176,9 +172,13 @@ class LeaseManager:
             return Lease(key=key, path=path, token=token,
                          acquired_unix=acquired)
         try:
-            os.write(fd, payload)
+            faultfs.fs_write(fd, payload.encode("utf-8"))
+        except OSError:
+            # A torn stamp reads as stale: peers may take the key over,
+            # which duplicates work at worst.
+            self.errors += 1
         finally:
-            os.close(fd)
+            faultfs.fs_close(fd)
         return Lease(key=key, path=path, token=token, acquired_unix=acquired)
 
     def heartbeat(self, lease: Lease) -> bool:
@@ -187,16 +187,10 @@ class LeaseManager:
         if current is None or current.get("token") != lease.token:
             return False
         stamp = self._stamp(lease.key, lease.token, lease.acquired_unix)
-        temp = f"{lease.path}.hb-{lease.token}"
         try:
-            with open(temp, "w", encoding="utf-8") as handle:
-                json.dump(stamp, handle, sort_keys=True)
-            os.replace(temp, lease.path)
+            faultfs.atomic_write_text(
+                lease.path, json.dumps(stamp, sort_keys=True), fsync=False)
         except OSError:
-            try:
-                os.unlink(temp)
-            except OSError:
-                pass
             return False
         return True
 

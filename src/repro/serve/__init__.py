@@ -10,18 +10,16 @@ and results land in the shared disk-backed cache so a restarted daemon
 — or a plain ``repro-synth`` run pointed at the same ``--cache-dir`` —
 is warm from the first request.
 
-With a ``--state-dir`` the queue itself is durable: accepted jobs are
-written to an append-only journal (:mod:`repro.serve.journal`) before
-their 202 goes out and replayed on the next boot, and lease files
-(:mod:`repro.resilience.lease`) let several daemons share one
-cache/journal directory without duplicating in-flight synthesis.  The
-journal rotates into sealed segments and compacts into a checksummed
-checkpoint (``--journal-max-bytes``; inspect with ``python -m
-repro.serve.journalctl``), a bounded queue sheds overload with 503 +
-``Retry-After`` (``--max-queue-depth``), and a health monitor
-(:mod:`repro.serve.health`) flips the daemon to degraded mode — shed
-low priority first, stop journaling detail — when disk headroom,
-journal writes or the disk-cache breaker go bad.  ``python -m
+With a ``--state-dir`` the queue itself is durable: each accepted job
+gets a pending-request file (:mod:`repro.serve.spool`) before its 202
+goes out, removed once the job is done and replayed on the next boot
+if the daemon died first, and lease files (:mod:`repro.resilience.
+lease`) let several daemons share one cache and state directory
+without duplicating in-flight synthesis.  A bounded queue sheds
+overload with 503 + ``Retry-After`` (``--max-queue-depth``), and a
+health monitor (:mod:`repro.serve.health`) flips the daemon to
+degraded mode — shed low priority first — when disk headroom, spool
+writes or the disk-cache breaker go bad.  ``python -m
 repro.serve.gauntlet`` exercises the crash paths, including phase C's
 injected disk faults.
 
@@ -38,30 +36,24 @@ from repro.serve.jobs import (
     JobState,
     options_from_json,
 )
-from repro.serve.journal import (
-    JOURNAL_SCHEMA_VERSION,
-    JobJournal,
-    PendingJob,
-    ReplayReport,
-)
 from repro.serve.quota import ClientQuotas, QuotaDecision, TokenBucket
 from repro.serve.server import ReproServer, resolve_state_dir
+from repro.serve.spool import SPOOL_SCHEMA_VERSION, ReplayReport, RequestSpool
 
 __all__ = [
     "ClientQuotas",
     "DEFAULT_CLIENT",
     "DEFAULT_PRIORITY",
     "HealthMonitor",
-    "JOURNAL_SCHEMA_VERSION",
     "Job",
-    "JobJournal",
     "JobQueue",
     "JobState",
     "PRIORITY_CLASSES",
-    "PendingJob",
     "QuotaDecision",
     "ReplayReport",
     "ReproServer",
+    "RequestSpool",
+    "SPOOL_SCHEMA_VERSION",
     "TokenBucket",
     "options_from_json",
     "resolve_state_dir",

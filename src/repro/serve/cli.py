@@ -3,26 +3,22 @@
     repro-serve [--host H] [--port P] [--cache-dir DIR] [--state-dir DIR]
                 [--cache-max-mb N] [--workers N] [--jobs N] [--no-verify]
                 [--quota-rate R] [--quota-burst B] [--lease-ttl S]
-                [--journal-max-bytes N] [--journal-keep-segments N]
                 [--max-queue-depth N] [--min-free-mb N]
 
 ``--cache-dir`` (or ``REPRO_CACHE_DIR``) attaches the disk-backed
 result cache, so results survive daemon restarts and are shared with
 ``repro-synth``/harness runs pointed at the same directory.
 ``--state-dir`` (or ``REPRO_SERVE_STATE_DIR``) makes the *queue*
-durable too: accepted jobs are journaled and replayed after a crash,
+durable too: accepted jobs are spooled and replayed after a crash,
 and lease files under the same directory coordinate several daemons
 sharing one cache.  ``--quota-rate``/``--quota-burst`` turn on
 per-client token-bucket admission (429 + ``Retry-After`` when a bucket
 runs dry).  ``--jobs`` sets how many pool processes one multi-output
 job may fan out to; ``--workers`` sets how many jobs run concurrently.
-``--journal-max-bytes``/``--journal-keep-segments`` bound the journal's
-disk footprint via rotation and checksummed compaction (inspect with
-``python -m repro.serve.journalctl``); ``--max-queue-depth`` sheds
-submissions with 503 + ``Retry-After`` past the high-water mark, and
-``--min-free-mb`` flips the daemon to degraded mode before the state
-disk actually fills.  The daemon drains gracefully on SIGTERM/SIGINT
-and exits 0.
+``--max-queue-depth`` sheds submissions with 503 + ``Retry-After``
+past the high-water mark, and ``--min-free-mb`` flips the daemon to
+degraded mode before the state disk actually fills.  The daemon drains
+gracefully on SIGTERM/SIGINT and exits 0.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ from repro.engine import EngineConfig, resolve_cache_dir, resolve_options
 from repro.flow.disk_cache import DEFAULT_MAX_BYTES
 from repro.obs.logs import LOG_FILE_ENV, configure, log_event, logging_enabled
 from repro.resilience.lease import DEFAULT_TTL_SECONDS
-from repro.serve.journal import DEFAULT_KEEP_SEGMENTS
 from repro.serve.server import ReproServer, resolve_state_dir
 
 
@@ -52,9 +47,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="disk-backed result cache shared across "
                              "processes (default: REPRO_CACHE_DIR)")
     parser.add_argument("--state-dir", default=None, metavar="DIR",
-                        help="durable queue state: job journal + lease "
-                             "files (default: REPRO_SERVE_STATE_DIR; "
-                             "unset = in-memory queue)")
+                        help="durable queue state: pending-request "
+                             "spool + lease files (default: "
+                             "REPRO_SERVE_STATE_DIR; unset = in-memory "
+                             "queue)")
     parser.add_argument("--quota-rate", type=float, default=None,
                         metavar="R", help="per-client admission rate in "
                              "requests/second (unset = no quotas)")
@@ -66,17 +62,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="seconds without a heartbeat before a "
                              "peer's lease is stale (default "
                              f"{DEFAULT_TTL_SECONDS:g})")
-    parser.add_argument("--journal-max-bytes", type=int, default=None,
-                        metavar="N",
-                        help="rotate the job journal when its tail "
-                             "crosses N bytes; compaction folds old "
-                             "segments into a checksummed checkpoint "
-                             "(unset = single unbounded file)")
-    parser.add_argument("--journal-keep-segments", type=int,
-                        default=DEFAULT_KEEP_SEGMENTS, metavar="N",
-                        help="sealed journal segments kept before "
-                             "compaction folds the oldest into the "
-                             f"checkpoint (default {DEFAULT_KEEP_SEGMENTS})")
     parser.add_argument("--max-queue-depth", type=int, default=None,
                         metavar="N",
                         help="shed submissions with 503 + Retry-After "
@@ -84,9 +69,9 @@ def main(argv: list[str] | None = None) -> int:
                              "(unset = unbounded queue)")
     parser.add_argument("--min-free-mb", type=int, default=None,
                         metavar="N",
-                        help="flip to degraded mode (shed low priority, "
-                             "stop journaling detail) when the state "
-                             "dir's filesystem has less than N MiB free")
+                        help="flip to degraded mode (shed low "
+                             "priority) when the state dir's filesystem "
+                             "has less than N MiB free")
     parser.add_argument("--cache-max-mb", type=int,
                         default=DEFAULT_MAX_BYTES // (1024 * 1024),
                         metavar="N", help="disk cache size budget for GC")
@@ -134,8 +119,6 @@ def main(argv: list[str] | None = None) -> int:
                          quota_rate=args.quota_rate,
                          quota_burst=args.quota_burst,
                          lease_ttl_seconds=args.lease_ttl,
-                         journal_max_bytes=args.journal_max_bytes,
-                         journal_keep_segments=args.journal_keep_segments,
                          max_queue_depth=args.max_queue_depth,
                          min_free_mb=args.min_free_mb)
 

@@ -7,7 +7,7 @@ Three phases, all against real ``repro-serve`` subprocesses:
 **Phase A — SIGKILL mid-queue.**  Boot one durable daemon
 (``--state-dir``), submit a batch of small circuits without waiting,
 and SIGKILL the process while most of them are still queued.  Restart
-a daemon on the same journal/cache directories and assert that
+a daemon on the same state/cache directories and assert that
 
 1. the boot replayed the unfinished backlog
    (``serve_journal_replayed`` > 0 and ``/healthz`` agrees);
@@ -22,19 +22,18 @@ assert the results are bit-identical while the combined
 files made one daemon do the work and the other answer from the
 shared cache (``serve_lease_acquired`` confirms the leases were used).
 
-**Phase C — disk faults + rotation under SIGKILL.**  Boot a daemon
-with a tiny ``--journal-max-bytes`` (rotation fires constantly) and a
+**Phase C — disk faults under SIGKILL.**  Boot a daemon with a
 :mod:`repro.resilience.faultfs` plan injected via ``REPRO_FAULTFS``:
 disk-cache entry writes hit ``ENOSPC`` until the write breaker trips,
-one journal append is torn mid-write, and one rotation rename fails
-with ``EIO``.  Assert that every job still completes with BLIF
+one pending-request spool write is torn mid-write, and one spool rename
+fails with ``EIO``.  Assert that every job still completes with BLIF
 byte-equal to the reference (disk-cache writes degraded to memory-only
-behind the breaker), that the breaker opened and then closed again
-after the half-open re-probe found the disk healthy, and that the
-journal rotated.  Then SIGKILL the daemon mid-traffic, restart it
-clean, assert the backlog completes bit-identically, and finish with
-``journalctl verify`` — the journal must be sound (no corruption, no
-half-rotated state) after all of it.
+behind the breaker), that ``journal_write_errors`` counted both spool
+faults, and that the breaker opened and then closed again after the
+half-open re-probe found the disk healthy.  Then SIGKILL the daemon
+mid-traffic, restart it clean, assert the backlog completes
+bit-identically, and finish by checking that the drained daemon left
+no pending entry in the spool.
 
 Exits non-zero with a message on the first violated assertion.
 """
@@ -55,6 +54,7 @@ from repro.engine import EngineConfig, SynthesisEngine, resolve_options
 from repro.expr.pla import pla_from_spec, write_pla
 from repro.network.blif import write_blif
 from repro.serve.client import ServeClient
+from repro.serve.spool import RequestSpool
 
 _PORT_RE = re.compile(r"127\.0\.0\.1:(\d+)")
 
@@ -78,7 +78,6 @@ def _check(condition: bool, message: str) -> None:
 
 def _start_daemon(cache_dir: str, state_dir: str,
                   lease_ttl: float = 2.0,
-                  extra_args: list[str] | None = None,
                   env: dict[str, str] | None = None
                   ) -> tuple[subprocess.Popen, ServeClient]:
     proc = subprocess.Popen(
@@ -86,8 +85,7 @@ def _start_daemon(cache_dir: str, state_dir: str,
          "--cache-dir", cache_dir, "--state-dir", state_dir,
          # jobs=1 keeps synthesis in-process: a SIGKILL'd daemon must
          # not leave orphaned pool workers behind in CI.
-         "--jobs", "1", "--lease-ttl", str(lease_ttl)]
-        + (extra_args or []),
+         "--jobs", "1", "--lease-ttl", str(lease_ttl)],
         stderr=subprocess.PIPE, text=True, env=env,
     )
     deadline = time.monotonic() + 30
@@ -273,21 +271,20 @@ def phase_c_disk_faults(circuits: list[str], plas: dict[str, str],
         batch, probe = circuits[:-1], circuits[-1]
         env = dict(os.environ)
         # Three deterministic disk faults: entry writes hit ENOSPC until
-        # the breaker trips (threshold 3), one journal append is torn,
-        # one rotation rename fails with EIO.  A short breaker cooldown
-        # lets the half-open re-probe happen within the phase.
+        # the breaker trips (threshold 3), the second spool write is
+        # torn, and the first spool rename fails with EIO.  The batch
+        # makes at least two spool writes, so both spool faults fire
+        # before the metrics check.  A short breaker cooldown lets the
+        # half-open re-probe happen within the phase.
         env["REPRO_FAULTFS"] = (
             "write:enospc:path=entries:count=3;"
-            "write:partial:path=journal.jsonl:after=4:count=1;"
-            "replace:eio:path=.0001.jsonl:count=1"
+            "write:partial:path=pending:after=1:count=1;"
+            "replace:eio:path=pending:count=1"
         )
         env["REPRO_CACHE_BREAKER_COOLDOWN"] = "0.05"
-        rotation = ["--journal-max-bytes", "600",
-                    "--journal-keep-segments", "2"]
         print("gauntlet C: booting under injected disk faults ...",
               flush=True)
-        proc, client = _start_daemon(cache_dir, state_dir,
-                                     extra_args=rotation, env=env)
+        proc, client = _start_daemon(cache_dir, state_dir, env=env)
         accepted = []
         try:
             for name in batch:
@@ -305,8 +302,8 @@ def phase_c_disk_faults(circuits: list[str], plas: dict[str, str],
                    "disk-cache writes never saw the injected ENOSPC")
             _check(_metric(metrics, "cache_disk_breaker_opened") >= 1,
                    "the disk-cache write breaker never opened")
-            _check(_metric(metrics, "journal_rotations") >= 1,
-                   "the journal never rotated")
+            _check(_metric(metrics, "journal_write_errors") >= 2,
+                   "the spool write errors were not counted")
             # The ENOSPC rule is exhausted: after the cooldown the
             # half-open probe on the next store must find the disk
             # healthy and close the breaker.
@@ -321,17 +318,16 @@ def phase_c_disk_faults(circuits: list[str], plas: dict[str, str],
             print("gauntlet C: breaker tripped and recovered, results "
                   "bit-identical", flush=True)
             # Re-submit the batch without waiting and SIGKILL while the
-            # journal is busy appending/rotating.
+            # spool still holds entries.
             for name in batch:
                 doc = client.synthesize(plas[name], name=name, wait=False)
                 accepted.append(doc["key"])
         finally:
             _sigkill(proc)
-        print("gauntlet C: SIGKILL mid-rotation, restarting clean ...",
+        print("gauntlet C: SIGKILL mid-traffic, restarting clean ...",
               flush=True)
 
-        proc, client = _start_daemon(cache_dir, state_dir,
-                                     extra_args=rotation)
+        proc, client = _start_daemon(cache_dir, state_dir)
         try:
             jobs = _wait_all_done(
                 client, sorted({job["circuit"]
@@ -342,15 +338,9 @@ def phase_c_disk_faults(circuits: list[str], plas: dict[str, str],
         finally:
             _stop_daemon(proc)
 
-        verify = subprocess.run(
-            [sys.executable, "-m", "repro.serve.journalctl", "verify",
-             "--state-dir", state_dir],
-            capture_output=True, text=True,
-        )
-        _check(verify.returncode == 0,
-               "journalctl verify found corruption after the crash: "
-               f"{verify.stdout}{verify.stderr}")
-        print("gauntlet C: journal verified sound after faults + SIGKILL",
+        left = RequestSpool(state_dir).pending_keys()
+        _check(not left, f"spool still lists pending entries: {left}")
+        print("gauntlet C: spool drained empty after faults + SIGKILL",
               flush=True)
 
 

@@ -7,20 +7,18 @@ task samples three signals every couple of seconds:
 1. **disk headroom** — free bytes on the state directory's filesystem
    (via :func:`shutil.disk_usage`, injectable for tests) against the
    configured floor;
-2. **journal write errors** — fresh append/rotation failures since the
-   last sample (an ``ENOSPC`` journal means accepted work is no longer
-   durable);
+2. **spool write errors** — fresh failures to write or move a
+   pending-request entry since the last sample (an ``ENOSPC`` spool
+   means accepted work is no longer durable);
 3. **disk-cache breaker** — the write breaker of the engine's disk
    tier sitting open means results are not being persisted.
 
 Any firing signal flips the queue into *degraded mode*: low-priority
 submissions are shed with 503 + ``Retry-After`` (interactive traffic
-keeps flowing), new submissions stop journaling their payload detail
-(nothing more is written to a disk that is failing or full), and
-``GET /healthz`` reports ``"status": "degraded"`` with the reasons so
-an operator — or a load balancer — can see *why* before the disk
-actually runs out.  When every signal clears, the next sample lifts
-degraded mode; recovery needs no restart.
+keeps flowing), and ``GET /healthz`` reports ``"status": "degraded"``
+with the reasons so an operator — or a load balancer — can see *why*
+before the disk actually runs out.  When every signal clears, the next
+sample lifts degraded mode; recovery needs no restart.
 
 The ``serve.degraded`` gauge (0/1) and per-reason
 ``serve.degraded.reasons`` counters make the transitions visible in
@@ -58,8 +56,8 @@ class HealthMonitor:
         self.interval_seconds = interval_seconds
         self.disk_usage = disk_usage
         self.checks = 0
-        self._journal_errors_seen = (
-            queue.journal.write_errors if queue.journal is not None else 0
+        self._spool_errors_seen = (
+            queue.spool.write_errors if queue.spool is not None else 0
         )
         self._task: asyncio.Task | None = None
         self._last_reasons: tuple[str, ...] = ()
@@ -71,7 +69,7 @@ class HealthMonitor:
         self.checks += 1
         reasons: list[str] = []
         reasons.extend(self._check_disk_headroom())
-        reasons.extend(self._check_journal())
+        reasons.extend(self._check_spool())
         reasons.extend(self._check_breaker())
         if tuple(reasons) != self._last_reasons:
             registry = get_metrics_registry()
@@ -101,17 +99,17 @@ class HealthMonitor:
             return [f"low-disk:{free // (1024 * 1024)}mb-free"]
         return []
 
-    def _check_journal(self) -> list[str]:
-        journal = self.queue.journal
-        if journal is None:
+    def _check_spool(self) -> list[str]:
+        spool = self.queue.spool
+        if spool is None:
             return []
-        fresh = journal.write_errors - self._journal_errors_seen
-        self._journal_errors_seen = journal.write_errors
+        fresh = spool.write_errors - self._spool_errors_seen
+        self._spool_errors_seen = spool.write_errors
         if fresh > 0:
-            return ["journal-write-errors"]
-        # No new failures since the last sample: appends either succeed
+            return ["journal-write-errors"]  # name kept for dashboards
+        # No new failures since the last sample: writes either succeed
         # again or are not happening — lift the flag optimistically; the
-        # next failed append re-raises it within one interval.
+        # next failed write re-raises it within one interval.
         return []
 
     def _check_breaker(self) -> list[str]:

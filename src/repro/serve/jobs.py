@@ -1,4 +1,4 @@
-"""Job queue: dedup, priority classes, quotas, journal and leases.
+"""Job queue: dedup, priority classes, quotas, spool and leases.
 
 Every submission is keyed by :meth:`SynthesisEngine.request_key` — the
 ``spec digest / options fingerprint`` identity also used by the result
@@ -20,10 +20,11 @@ On top of the PR-6 dedup queue this adds the durability/fairness tier:
   token bucket is consulted *before* dedup; an empty bucket raises
   :class:`~repro.errors.QuotaExceededError`, which the HTTP layer maps
   to ``429`` + ``Retry-After``.
-* **journal** — when a :class:`~repro.serve.journal.JobJournal` is
-  attached, ``queued``/``running``/``done``/``failed`` transitions are
-  appended before they are observable, so a SIGKILL'd daemon replays
-  its unfinished backlog on the next boot.
+* **spool** — when a :class:`~repro.serve.spool.RequestSpool` is
+  attached, each new job's entry is written before the job is
+  observable and removed once it is done (moved to ``failed/`` if it
+  raised), so a SIGKILL'd daemon replays its unfinished backlog on the
+  next boot.
 * **leases** — when a :class:`~repro.resilience.lease.LeaseManager` is
   attached, a worker takes the per-key lease before synthesizing and
   heartbeats while running; a peer daemon wanting the same key waits
@@ -33,13 +34,11 @@ On top of the PR-6 dedup queue this adds the durability/fairness tier:
   would push the queue past its high-water mark is refused with
   :class:`~repro.errors.OverloadedError` (the HTTP layer maps it to
   ``503`` + ``Retry-After``) instead of growing the backlog without
-  bound.  Dedup joins and journal replays are never shed: a join costs
+  bound.  Dedup joins and spool replays are never shed: a join costs
   no new work, and a replayed job was already admitted once.  In
   *degraded mode* (set by the :class:`~repro.serve.health.
-  HealthMonitor` when disk headroom, journal writes or the cache
-  breaker go bad) low-priority submissions are shed first and new jobs
-  stop journaling their payload detail — no more bulk writes to a disk
-  that is failing or full.
+  HealthMonitor` when disk headroom, spool writes or the cache breaker
+  go bad) low-priority submissions are shed first.
 
 All queue state is mutated on the event-loop thread only; the actual
 synthesis runs in a thread-pool executor (and, for multi-output specs,
@@ -70,8 +69,8 @@ from repro.obs.metrics import get_metrics_registry
 from repro.obs.runctx import RunContext, install_run_context, new_correlation_id
 from repro.power import estimate_power
 from repro.resilience.lease import Lease, LeaseManager
-from repro.serve.journal import JobJournal
 from repro.serve.quota import ClientQuotas
+from repro.serve.spool import RequestSpool
 from repro.spec import CircuitSpec
 from repro.timing import network_delay
 
@@ -159,7 +158,7 @@ class Job:
     state: JobState = JobState.QUEUED
     priority: str = DEFAULT_PRIORITY
     client: str = DEFAULT_CLIENT
-    #: Re-enqueued from the journal after a crash (skips quota/journal).
+    #: Re-enqueued from the spool after a crash (skips quota/spool).
     replayed: bool = False
     submissions: int = 1
     #: One id shared by every log line this request produces — in the
@@ -242,7 +241,7 @@ class JobQueue:
 
     def __init__(self, engine: SynthesisEngine, workers: int = 1,
                  quotas: ClientQuotas | None = None,
-                 journal: JobJournal | None = None,
+                 spool: RequestSpool | None = None,
                  leases: LeaseManager | None = None,
                  lease_poll_seconds: float = 0.25,
                  max_depth: int | None = None):
@@ -251,7 +250,7 @@ class JobQueue:
         self.engine = engine
         self.workers = max(1, workers)
         self.quotas = quotas
-        self.journal = journal
+        self.spool = spool
         self.leases = leases
         self.lease_poll_seconds = lease_poll_seconds
         self.max_depth = max_depth
@@ -331,11 +330,11 @@ class JobQueue:
         OverloadedError` when the submission is shed (queue past its
         high-water mark, or low-priority traffic in degraded mode).
         ``pla``/``options_doc`` carry the raw request payload into the
-        journal so a crashed daemon can reconstruct the job on replay;
+        spool so a crashed daemon can reconstruct the job on replay;
         replayed re-submissions skip the quota (the tokens were spent
         on first admission), the shed check (the work was already
         accepted — dropping it now would break the 202 promise) and
-        the journal (their ``queued`` event already exists).
+        the spool (their entry already exists).
         """
         overrides = overrides or {}
         priority = validate_priority(priority)
@@ -390,27 +389,17 @@ class JobQueue:
             replayed=replayed,
             correlation_id=new_correlation_id(),
         )
-        if self.journal is not None and not replayed:
-            if self.degraded_reasons:
-                # Degraded mode: stop writing payload detail to a disk
-                # that is failing or full.  The job is accepted but not
-                # durable — counted, so the loss is visible.
-                self._registry.counter(
-                    "serve.journal.suppressed",
-                    "queued events not journaled in degraded mode",
-                ).inc()
-            else:
-                # Journal before the job becomes observable: once a
-                # caller holds a 202, the work survives any crash of
-                # this daemon.
-                self.journal.record_queued(
-                    request_key=key,
-                    circuit=spec.name,
-                    pla=pla if pla is not None else "",
-                    options=options_doc or {},
-                    priority=priority,
-                    client=client,
-                )
+        if self.spool is not None and not replayed:
+            # Spool before the job becomes observable: once a caller
+            # holds a 202, the work survives any crash of this daemon.
+            self.spool.add(
+                request_key=key,
+                circuit=spec.name,
+                pla=pla if pla is not None else "",
+                options=options_doc or {},
+                priority=priority,
+                client=client,
+            )
         self.jobs[job.id] = job
         self._inflight[key] = job
         self._queue.put_nowait(PRIORITY_CLASSES[priority], job)
@@ -499,8 +488,6 @@ class JobQueue:
                 heartbeat = loop.create_task(self._heartbeat(lease))
             job.state = JobState.RUNNING
             job.started_unix = time.time()
-            if self.journal is not None:
-                self.journal.record_event("running", job.key)
             try:
                 self.synth_calls += 1
                 result = await loop.run_in_executor(
@@ -516,17 +503,16 @@ class JobQueue:
                     if result.trace is not None else None
                 )
                 job.state = JobState.DONE
-                if self.journal is not None:
-                    self.journal.record_event("done", job.key)
+                if self.spool is not None:
+                    self.spool.remove(job.key)
                 self._registry.counter(
                     "serve.jobs.completed", "jobs finished successfully"
                 ).inc()
             except Exception as exc:  # noqa: BLE001 — job isolation
                 job.error = f"{type(exc).__name__}: {exc}"
                 job.state = JobState.FAILED
-                if self.journal is not None:
-                    self.journal.record_event("failed", job.key,
-                                              error=job.error)
+                if self.spool is not None:
+                    self.spool.fail(job.key, job.error)
                 self._registry.counter(
                     "serve.jobs.failed", "jobs that raised"
                 ).inc()

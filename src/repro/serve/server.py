@@ -26,11 +26,12 @@ the container bakes in only the standard library.  Endpoints:
 ==========================  =============================================
 
 With a state directory configured the daemon is *durable*: every
-submission is journaled before its 202 goes out, and on boot the
-journal is replayed — jobs a previous (possibly SIGKILL'd) daemon never
+submission is spooled before its 202 goes out, and on boot the spool
+is replayed — jobs a previous (possibly SIGKILL'd) daemon never
 finished are re-enqueued and complete bit-identically via the shared
 result cache.  Lease files under the same directory let several daemons
-share one cache/journal without duplicating in-flight synthesis.
+share one cache and state directory without duplicating in-flight
+synthesis.
 
 SIGTERM/SIGINT trigger a graceful drain: the listener closes (new
 connections are refused by the OS), queued and running jobs finish,
@@ -58,19 +59,18 @@ from repro.serve.jobs import (
     JobQueue,
     options_from_json,
 )
-from repro.serve.journal import DEFAULT_KEEP_SEGMENTS, JobJournal
 from repro.serve.quota import ClientQuotas
+from repro.serve.spool import RequestSpool
 
 __all__ = ["ReproServer", "resolve_state_dir"]
 
 _MAX_BODY = 8 * 1024 * 1024  # a PLA bigger than 8 MiB is not a request
 
-#: Environment default for the serve state directory (journal + leases);
+#: Environment default for the serve state directory (spool + leases);
 #: like ``REPRO_CACHE_DIR``, set once per machine and every daemon on it
 #: shares one durable queue.
 STATE_DIR_ENV = "REPRO_SERVE_STATE_DIR"
 
-JOURNAL_FILENAME = "journal.jsonl"
 LEASE_DIRNAME = "leases"
 
 
@@ -95,20 +95,14 @@ class ReproServer:
                  quota_rate: float | None = None,
                  quota_burst: float = 10.0,
                  lease_ttl_seconds: float = DEFAULT_TTL_SECONDS,
-                 journal_max_bytes: int | None = None,
-                 journal_keep_segments: int = DEFAULT_KEEP_SEGMENTS,
                  max_queue_depth: int | None = None,
                  min_free_mb: int | None = None):
         self.engine = SynthesisEngine(config)
         self.state_dir = resolve_state_dir(state_dir)
-        journal = leases = None
+        spool = leases = None
         if self.state_dir is not None:
             os.makedirs(self.state_dir, exist_ok=True)
-            journal = JobJournal(
-                os.path.join(self.state_dir, JOURNAL_FILENAME),
-                max_bytes=journal_max_bytes,
-                keep_segments=journal_keep_segments,
-            )
+            spool = RequestSpool(self.state_dir)
             leases = LeaseManager(
                 os.path.join(self.state_dir, LEASE_DIRNAME),
                 ttl_seconds=lease_ttl_seconds,
@@ -118,7 +112,7 @@ class ReproServer:
             if quota_rate is not None else None
         )
         self.queue = JobQueue(self.engine, workers=workers,
-                              quotas=quotas, journal=journal, leases=leases,
+                              quotas=quotas, spool=spool, leases=leases,
                               max_depth=max_queue_depth)
         self.health = HealthMonitor(
             self.queue,
@@ -138,7 +132,7 @@ class ReproServer:
 
     async def start(self) -> None:
         self.queue.start()
-        self._replay_journal()
+        self._replay_spool()
         self.health.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
@@ -146,64 +140,59 @@ class ReproServer:
         # Port 0 means "pick one" — publish what the OS chose.
         self.port = self._server.sockets[0].getsockname()[1]
 
-    def _replay_journal(self) -> None:
+    def _replay_spool(self) -> None:
         """Re-enqueue the unfinished backlog a dead daemon left behind."""
-        if self.queue.journal is None:
+        spool = self.queue.spool
+        if spool is None:
             return
         registry = get_metrics_registry()
-        report = self.queue.journal.replay()
-        for skipped, counter, help_text in (
-            (report.skipped_schema, "serve.journal.skipped_schema",
-             "journal records with an unknown (newer) schema version"),
-            (report.skipped_malformed, "serve.journal.skipped_malformed",
-             "journal records dropped as malformed"),
-        ):
-            if skipped:
-                registry.counter(counter, help_text).inc(skipped)
-        for pending in report.pending:
+        report = spool.replay()
+        if report.skipped_schema:
+            registry.counter(
+                "serve.journal.skipped_schema",
+                "spool entries with an unknown (newer) schema version",
+            ).inc(report.skipped_schema)
+        errors = registry.counter(
+            "serve.journal.replay_errors",
+            "spool entries that failed to re-enqueue (moved to failed/)",
+        )
+        errors.inc(report.failed)
+        for entry in report.pending:
+            key = entry["request_key"]
             try:
-                spec = spec_from_pla_text(pending.pla, name=pending.circuit)
-                overrides = options_from_json(pending.options)
+                spec = spec_from_pla_text(entry["pla"], name=entry["circuit"])
                 job, _ = self.queue.submit(
-                    spec, overrides,
-                    priority=pending.priority
-                    if pending.priority in ("high", "normal", "low")
+                    spec, options_from_json(entry["options"]),
+                    priority=entry["priority"]
+                    if entry["priority"] in ("high", "normal", "low")
                     else DEFAULT_PRIORITY,
-                    client=pending.client,
+                    client=entry["client"],
                     replayed=True,
                 )
-                if job.key != pending.request_key:
-                    # The recomputed key differs (e.g. the journal came
-                    # from a daemon with different default options).
-                    # Re-journal the work under the key its lifecycle
-                    # events will actually use and retire the old entry,
-                    # or every future boot replays it again.
-                    self.queue.journal.record_queued(
-                        request_key=job.key, circuit=pending.circuit,
-                        pla=pending.pla, options=pending.options,
-                        priority=job.priority, client=pending.client,
-                    )
-                    self.queue.journal.record_event(
-                        "done", pending.request_key
-                    )
-            except Exception as exc:  # noqa: BLE001 — a poisoned journal
+            except Exception as exc:  # noqa: BLE001 — a poisoned spool
                 # entry must not take the whole boot down with it.
-                registry.counter(
-                    "serve.journal.replay_errors",
-                    "journal entries that failed to re-enqueue",
-                ).inc()
+                error = f"{type(exc).__name__}: {exc}"
+                spool.fail(key, error)
+                errors.inc()
                 log_event("serve.journal.replay_error",
-                          request_key=pending.request_key,
-                          error=f"{type(exc).__name__}: {exc}")
+                          request_key=key, error=error)
                 continue
+            if job.key != key:
+                # The recomputed key differs (e.g. the entry came from a
+                # daemon with different default options).  Re-spool the
+                # work under the key its completion will remove, or
+                # every future boot replays it again.
+                spool.add(request_key=job.key, circuit=entry["circuit"],
+                          pla=entry["pla"], options=entry["options"],
+                          priority=job.priority, client=entry["client"])
+                spool.remove(key)
             self.replayed += 1
             registry.counter(
                 "serve.journal.replayed",
-                "unfinished journal entries re-enqueued on boot",
+                "unfinished spool entries re-enqueued on boot",
             ).inc()
-            log_event("serve.journal.replayed",
-                      request_key=pending.request_key,
-                      circuit=pending.circuit, priority=pending.priority)
+            log_event("serve.journal.replayed", request_key=key,
+                      circuit=entry["circuit"], priority=entry["priority"])
 
     async def serve_forever(self, install_signals: bool = True) -> None:
         """Run until SIGTERM/SIGINT, then drain and return."""
@@ -333,7 +322,7 @@ class ReproServer:
                 "reasons": reasons,
                 "jobs": self.queue.counts(),
                 "queue_depth": self.queue.depth(),
-                "durable": self.queue.journal is not None,
+                "durable": self.queue.spool is not None,
                 "replayed": self.replayed,
             }
         return 404, {"error": f"no route for {method} {path}"}

@@ -13,10 +13,11 @@ service contract:
 4. a second daemon on the same cache directory answers from disk
    (``cache_disk_hits`` > 0) — the restart-warm acceptance path;
 5. the daemon runs durable (``--state-dir``): ``/healthz`` reports it,
-   and the job journal on disk records the accepted work;
+   no spool write failed, and the SIGTERM drain leaves the
+   pending-request spool empty;
 6. SIGTERM drains gracefully and the process exits 0.
 
-The *crash* paths — SIGKILL mid-queue, journal replay, two live
+The *crash* paths — SIGKILL mid-queue, spool replay, two live
 daemons on one cache — are the separate, heavier
 ``python -m repro.serve.gauntlet``.  Exits non-zero with a message on
 the first violated assertion.
@@ -36,6 +37,7 @@ import time
 from repro.circuits import get
 from repro.expr.pla import pla_from_spec, write_pla
 from repro.serve.client import ServeClient
+from repro.serve.spool import RequestSpool
 
 _PORT_RE = re.compile(r"127\.0\.0\.1:(\d+)")
 
@@ -122,17 +124,15 @@ def main(argv: list[str] | None = None) -> int:
             _check(not synthesized_twice,
                    "second request was neither deduped nor a cache hit")
             print("smoke: dedup/cache hit confirmed", flush=True)
+            _check(_metric(metrics, "journal_write_errors") == 0.0,
+                   "spool writes failed on a healthy disk")
         finally:
             _stop_daemon(proc)
         print("smoke: graceful SIGTERM drain, exit 0", flush=True)
 
-        journal = os.path.join(state_dir, "journal.jsonl")
-        _check(os.path.exists(journal), "no job journal in --state-dir")
-        journal_text = open(journal, encoding="utf-8").read()
-        _check('"event": "queued"' in journal_text
-               and '"event": "done"' in journal_text,
-               "journal is missing queued/done events")
-        print("smoke: job journal recorded the accepted work", flush=True)
+        left = RequestSpool(state_dir).pending_keys()
+        _check(not left, f"spool still lists pending entries: {left}")
+        print("smoke: spool empty after the drain", flush=True)
 
         print("smoke: restarting on the same cache dir ...", flush=True)
         proc, client = _start_daemon(cache_dir, state_dir)

@@ -190,3 +190,27 @@ def test_atomic_write_text_fault_preserves_old_content(tmp_path):
     atomic_write_text(path, "new")
     with open(path) as handle:
         assert handle.read() == "new"
+
+
+# -- writers routed through faultfs -------------------------------------------
+
+
+def test_rules_reach_lease_writes(tmp_path):
+    from repro.resilience.lease import LeaseManager
+
+    now = [1000.0]
+    mgr = LeaseManager(str(tmp_path / "leases"), ttl_seconds=10.0,
+                       clock=lambda: now[0])
+    lease = mgr.try_acquire("k")
+    stamp = mgr.read_stamp("k")
+    now[0] += 5.0
+    faultfs.install(parse_plan("replace:eio:path=leases:count=1"))
+    # The heartbeat's rename hits the fault: the lease reports lost, the
+    # old stamp stays, and no temp file is left behind.
+    assert mgr.heartbeat(lease) is False
+    assert mgr.read_stamp("k") == stamp
+    assert os.listdir(mgr.directory) == [os.path.basename(lease.path)]
+    # A torn first write of a fresh lease is absorbed and counted.
+    faultfs.install(parse_plan("write:partial:path=leases:count=1"))
+    assert mgr.try_acquire("k2") is not None
+    assert mgr.errors == 1

@@ -1,7 +1,7 @@
 """The crash-restart gauntlet driver (what CI's service-smoke escalates to).
 
 Running a reduced gauntlet under pytest keeps the crash contract —
-SIGKILL mid-queue, journal replay, two daemons on one cache — inside
+SIGKILL mid-queue, spool replay, two daemons on one cache — inside
 tier-1, not just in a separate CI lane.
 """
 

@@ -1,7 +1,6 @@
-"""Journal replay through the real server: boot-time re-enqueue."""
+"""Spool replay through the real server: boot-time re-enqueue."""
 
 import asyncio
-import json
 import os
 import time
 
@@ -12,13 +11,8 @@ from repro.expr.pla import pla_from_spec, write_pla
 from repro.flow.cache import get_result_cache
 from repro.obs.metrics import get_metrics_registry
 from repro.serve.client import ServeClient
-from repro.serve.journal import JOURNAL_SCHEMA_VERSION, JobJournal
-from repro.serve.server import (
-    JOURNAL_FILENAME,
-    STATE_DIR_ENV,
-    ReproServer,
-    resolve_state_dir,
-)
+from repro.serve.server import STATE_DIR_ENV, ReproServer, resolve_state_dir
+from repro.serve.spool import RequestSpool
 
 
 @pytest.fixture(autouse=True)
@@ -64,21 +58,14 @@ def boot_and_wait(state_dir: str, expect_done: int):
 def test_boot_replays_unfinished_jobs(tmp_path):
     state_dir = str(tmp_path / "state")
     os.makedirs(state_dir)
-    journal = JobJournal(os.path.join(state_dir, JOURNAL_FILENAME))
+    spool = RequestSpool(state_dir)
     # The crash shape: one job accepted, one accepted + started, one
-    # finished — only the first two are unfinished business.
-    journal.record_queued(request_key="a", circuit="rd53",
-                          pla=pla_text("rd53"), options={},
-                          priority="high", client="ci")
-    journal.record_queued(request_key="b", circuit="z4ml",
-                          pla=pla_text("z4ml"), options={},
-                          priority="normal", client="ci")
-    journal.record_event("running", "b")
-    journal.record_queued(request_key="c", circuit="radd",
-                          pla=pla_text("radd"), options={},
-                          priority="low", client="ci")
-    journal.record_event("running", "c")
-    journal.record_event("done", "c")
+    # finished — only the first two are unfinished business, and the
+    # finished one has no entry left.
+    spool.add(request_key="a", circuit="rd53", pla=pla_text("rd53"),
+              options={}, priority="high", client="ci")
+    spool.add(request_key="b", circuit="z4ml", pla=pla_text("z4ml"),
+              options={}, priority="normal", client="ci")
 
     replayed, jobs = boot_and_wait(state_dir, expect_done=2)
     assert replayed == 2
@@ -89,8 +76,8 @@ def test_boot_replays_unfinished_jobs(tmp_path):
         assert job["state"] == "done"
         assert job["result"]["blif"]
     assert by_circuit["rd53"]["priority"] == "high"
-    # The finished jobs got journaled as done again, so a second boot
-    # has nothing left to replay.
+    # The finished jobs' entries were removed, so a second boot has
+    # nothing left to replay.
     replayed_again, _ = boot_and_wait(state_dir, expect_done=0)
     assert replayed_again == 0
 
@@ -98,20 +85,13 @@ def test_boot_replays_unfinished_jobs(tmp_path):
 def test_poisoned_journal_entry_does_not_block_boot(tmp_path):
     state_dir = str(tmp_path / "state")
     os.makedirs(state_dir)
-    path = os.path.join(state_dir, JOURNAL_FILENAME)
-    journal = JobJournal(path)
-    journal.record_queued(request_key="good", circuit="rd53",
-                          pla=pla_text("rd53"), options={},
-                          priority="normal", client="ci")
-    with open(path, "a", encoding="utf-8") as handle:
-        # Parseable JSONL, valid schema, but the PLA is garbage: the
-        # re-enqueue must fail for this entry only.
-        handle.write(json.dumps({
-            "schema": JOURNAL_SCHEMA_VERSION, "event": "queued",
-            "request_key": "poison", "circuit": "bad",
-            "pla": "not a pla at all", "options": {},
-            "priority": "normal", "client": "ci",
-        }) + "\n")
+    spool = RequestSpool(state_dir)
+    spool.add(request_key="good", circuit="rd53", pla=pla_text("rd53"),
+              options={}, priority="normal", client="ci")
+    # A well-formed entry whose PLA is garbage: the re-enqueue must
+    # fail for this entry only.
+    spool.add(request_key="poison", circuit="bad", pla="not a pla at all",
+              options={}, priority="normal", client="ci")
 
     before = get_metrics_registry().counter(
         "serve.journal.replay_errors", "test probe").value
@@ -121,6 +101,18 @@ def test_poisoned_journal_entry_does_not_block_boot(tmp_path):
     after = get_metrics_registry().counter(
         "serve.journal.replay_errors", "test probe").value
     assert after == before + 1
+
+    # The poisoned entry was moved aside: a second boot neither replays
+    # nor re-counts it, and it waits in failed/ for a post-mortem.
+    replayed_again, _ = boot_and_wait(state_dir, expect_done=0)
+    assert replayed_again == 0
+    assert get_metrics_registry().counter(
+        "serve.journal.replay_errors", "test probe").value == after
+    assert spool.pending_keys() == []
+    [failed] = spool.failed()
+    assert failed["entry"]["request_key"] == "poison"
+    assert "not a pla" in failed["entry"]["pla"]
+    assert failed["error"]
 
 
 def test_resolve_state_dir_precedence(monkeypatch):

@@ -16,8 +16,8 @@ from repro.obs.metrics import get_metrics_registry
 from repro.resilience.breaker import CircuitBreaker
 from repro.serve.health import HealthMonitor
 from repro.serve.jobs import JobQueue
-from repro.serve.journal import JobJournal
 from repro.serve.server import ReproServer
+from repro.serve.spool import RequestSpool
 
 
 @pytest.fixture()
@@ -111,24 +111,6 @@ def test_retry_after_scales_with_backlog(engine):
     assert queue._retry_after() == 60.0
 
 
-def test_degraded_mode_suppresses_journal_payloads(engine, tmp_path):
-    journal = JobJournal(str(tmp_path / "journal.jsonl"))
-    queue = JobQueue(engine, journal=journal)
-    registry = get_metrics_registry()
-    before = registry.counter("serve.journal.suppressed", "").value
-
-    queue.submit(get("rd53"), pla="healthy-pla")
-    assert len(journal.replay().pending) == 1
-
-    queue.set_degraded(["low-disk:1mb-free"])
-    queue.submit(get("z4ml"), pla="degraded-pla")
-    # Accepted but not journaled: no payload detail hits a full disk.
-    assert len(journal.replay().pending) == 1
-    assert registry.counter(
-        "serve.journal.suppressed", "").value == before + 1
-    assert queue.depth() == 2  # the job itself was admitted
-
-
 # -- the health monitor -------------------------------------------------------
 
 
@@ -163,15 +145,15 @@ def test_no_floor_means_no_disk_check(engine, tmp_path):
 
 
 def test_fresh_journal_write_errors_degrade_then_clear(engine, tmp_path):
-    journal = JobJournal(str(tmp_path / "journal.jsonl"))
-    queue = JobQueue(engine, journal=journal)
+    spool = RequestSpool(str(tmp_path / "state"))
+    queue = JobQueue(engine, spool=spool)
     monitor = HealthMonitor(queue)
     assert monitor.check() == []
-    journal.write_errors += 1  # an append failed since the last sample
+    spool.write_errors += 1  # a spool write failed since the last sample
     assert monitor.check() == ["journal-write-errors"]
     # No *new* failures in the next interval: lift optimistically.
     assert monitor.check() == []
-    journal.write_errors += 1
+    spool.write_errors += 1
     assert monitor.check() == ["journal-write-errors"]
 
 
