@@ -203,6 +203,10 @@ def test_profiler_produces_nonempty_speedscope_for_table2_circuit(
     prof = doc["profiles"][0]
     assert prof["samples"] and prof["weights"]
     assert prof["endValue"] > 0
+    # Sample weights are measured, so the flamegraph's total reconciles
+    # with the profiled wall time however late the sampler woke.
+    assert 0.8 <= sum(prof["weights"]) / profile.duration <= 1.2, (
+        sum(prof["weights"]), profile.duration)
     assert doc["shared"]["frames"], "speedscope document has no frames"
     # Samples must be span-attributed: the flow's pass names appear as
     # base layers of the flamegraph.

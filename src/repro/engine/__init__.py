@@ -10,10 +10,8 @@ through it; see :mod:`repro.engine.engine`.
 
 from repro.engine.config import (
     CACHE_DIR_ENV,
-    HISTORY_FILE_ENV,
     EngineConfig,
     resolve_cache_dir,
-    resolve_history_path,
     resolve_options,
 )
 from repro.engine.engine import EngineRun, SynthesisEngine
@@ -22,9 +20,7 @@ __all__ = [
     "CACHE_DIR_ENV",
     "EngineConfig",
     "EngineRun",
-    "HISTORY_FILE_ENV",
     "SynthesisEngine",
     "resolve_cache_dir",
-    "resolve_history_path",
     "resolve_options",
 ]

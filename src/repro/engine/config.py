@@ -17,16 +17,10 @@ from dataclasses import dataclass, field, replace
 from repro.core.options import SynthesisOptions
 from repro.flow.disk_cache import DEFAULT_MAX_BYTES
 
-# Re-exported because the engine is where history recording is wired,
-# mirroring how the cache dir resolves (explicit > env > off).
-from repro.obs.history.store import HISTORY_FILE_ENV, resolve_history_path
-
 __all__ = [
     "CACHE_DIR_ENV",
     "EngineConfig",
-    "HISTORY_FILE_ENV",
     "resolve_cache_dir",
-    "resolve_history_path",
     "resolve_options",
 ]
 
@@ -73,10 +67,6 @@ class EngineConfig:
     flow: str = "fprm"
     cache_dir: str | None = None
     cache_max_bytes: int = DEFAULT_MAX_BYTES
-    #: Run-history JSONL every engine request appends a record to
-    #: (``None`` = the ``REPRO_HISTORY_FILE`` env var decides; an empty
-    #: env var means recording is off).
-    history_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.flow not in ("fprm", "sislite"):

@@ -36,7 +36,6 @@ from repro.flow.cache import get_result_cache
 from repro.flow.disk_cache import DiskCacheTier
 from repro.flow.trace import FlowTrace
 from repro.network.netlist import Network
-from repro.obs.history.store import RunHistoryStore, resolve_history_path
 from repro.obs.manifest import options_fingerprint, spec_digest
 from repro.obs.metrics import get_metrics_registry
 from repro.spec import CircuitSpec
@@ -68,10 +67,6 @@ class SynthesisEngine:
                 max_bytes=self.config.cache_max_bytes,
             )
             get_result_cache().attach_disk(self.disk_tier)
-        history_path = resolve_history_path(self.config.history_path)
-        self.history: RunHistoryStore | None = (
-            RunHistoryStore(history_path) if history_path else None
-        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -139,24 +134,6 @@ class SynthesisEngine:
                 "engine.requests.fresh",
                 "requests that synthesized at least one output",
             ).inc()
-        if self.history is not None:
-            # Best-effort by design: a full history disk must never
-            # fail a synthesis that already succeeded.
-            try:
-                self.history.append({
-                    "kind": "engine",
-                    "circuit": spec.name,
-                    "request_key": self.request_key(spec, resolved),
-                    "seconds": round(result.seconds, 6),
-                    "gates": result.two_input_gates,
-                    "literals": result.literals,
-                    "verified": (
-                        bool(result.verify)
-                        if result.verify is not None else None
-                    ),
-                })
-            except OSError:
-                pass
         return result
 
     def baseline(self, spec: CircuitSpec, verify: bool = True):

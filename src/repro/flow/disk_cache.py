@@ -402,7 +402,7 @@ class DiskCacheTier:
         """Move a bad entry aside (never delete evidence) and count it."""
         target = self.quarantine_dir / f"{path.parent.name}-{path.name}"
         try:
-            os.replace(path, target)
+            faultfs.fs_replace(str(path), str(target))
         except OSError:
             try:
                 os.unlink(path)

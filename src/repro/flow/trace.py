@@ -11,10 +11,6 @@ is derived from the spans with ``category == "pass"`` — so the
 ``SynthesisResult.trace`` API and the ``repro-synth --trace`` JSON keep
 working unchanged (the JSON additionally carries ``spans``, ``manifest``
 and a ``schema`` version).
-
-Traces loaded from JSON written by older versions (schema 1, records
-only) still parse: :meth:`FlowTrace.from_dict` keeps their flat records
-and simply has no span tree.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.obs.manifest import RunManifest
 from repro.obs.prof.profiler import Profile
-from repro.obs.schema import TRACE_SCHEMA_VERSION
+from repro.obs.schema import TRACE_SCHEMA_VERSION, require_spans
 from repro.obs.spans import Span
 
 
@@ -64,17 +60,6 @@ class PassRecord:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "PassRecord":
-        return cls(
-            pass_name=payload["pass"],
-            output=payload.get("output"),
-            seconds=payload.get("seconds", 0.0),
-            gates_before=payload.get("gates_before"),
-            gates_after=payload.get("gates_after"),
-            details=dict(payload.get("details", {})),
-        )
-
-    @classmethod
     def from_span(cls, span: Span) -> "PassRecord":
         """The flat-record view of one ``category == "pass"`` span."""
         return cls(
@@ -91,9 +76,8 @@ class PassRecord:
 class FlowTrace:
     """Everything observable about one synthesis run.
 
-    When ``root`` is set (every traced run since the observability
-    layer), ``records`` is derived from the span tree; ``flat_records``
-    only carries data for traces deserialized from records-only JSON.
+    ``records`` is derived from the span tree ``root``, which every
+    traced run sets.
     """
 
     circuit: str
@@ -109,7 +93,6 @@ class FlowTrace:
     #: span-attributed, pool-worker samples merged in — see
     #: :mod:`repro.obs.prof`.
     profile: Profile | None = None
-    flat_records: list[PassRecord] = field(default_factory=list)
     # Resilience: ``output:stage->fallback`` labels for every effort-
     # degradation rung taken this run, and how many pool retries the
     # crash-isolated map needed (0 for a clean run).
@@ -126,7 +109,7 @@ class FlowTrace:
     def records(self) -> list[PassRecord]:
         """Flat per-pass records — a preorder view over the span tree."""
         if self.root is None:
-            return self.flat_records
+            return []
         return [
             PassRecord.from_span(node)
             for node in self.root.walk()
@@ -164,7 +147,7 @@ class FlowTrace:
         return totals
 
     def hotspots(self, top: int = 5) -> list[tuple[str, float]]:
-        """Top spans by aggregated *self*-time (pass totals as fallback).
+        """Top spans by aggregated *self*-time.
 
         Self-time attributes each wall-clock second to the innermost
         span that spent it, so a pass that is slow only because of a
@@ -174,8 +157,6 @@ class FlowTrace:
         if self.root is not None:
             for node in self.root.walk():
                 totals[node.name] = totals.get(node.name, 0.0) + node.self_seconds
-        else:
-            totals = self.seconds_by_pass()
         ranked = sorted(totals.items(), key=lambda item: -item[1])
         return ranked[:top]
 
@@ -212,7 +193,11 @@ class FlowTrace:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FlowTrace":
-        """Rebuild a trace from its JSON form (any schema version)."""
+        """Rebuild a trace from its JSON form.
+
+        Raises :class:`ValueError` for a document without a span tree.
+        """
+        root = Span.from_dict(require_spans(payload))
         cache = payload.get("cache", {})
         resilience = payload.get("resilience", {})
         trace = cls(
@@ -226,13 +211,8 @@ class FlowTrace:
             degradations=list(resilience.get("degradations", [])),
             retries=resilience.get("retries", 0),
             metrics=dict(payload.get("metrics", {})),
+            root=root,
         )
-        if "spans" in payload:
-            trace.root = Span.from_dict(payload["spans"])
-        else:
-            trace.flat_records = [
-                PassRecord.from_dict(r) for r in payload.get("records", [])
-            ]
         if "manifest" in payload:
             trace.manifest = RunManifest.from_dict(payload["manifest"])
         if "profile" in payload:

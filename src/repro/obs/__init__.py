@@ -10,10 +10,8 @@ The pieces and how they fit:
   with JSON and Prometheus-text exporters; the benchmark harness dumps
   the registry as ``BENCH_*.json``.
 * :mod:`repro.obs.prof` — sampling profiler attached to the span tracer
-  (samples attributed to the enclosing pass), with collapsed-stack and
-  speedscope flamegraph exports.
-* :mod:`repro.obs.history` — append-only JSONL run-history store plus
-  bench snapshots and regression comparison (the ``repro-bench`` tool).
+  (samples attributed to the enclosing pass and weighted by measured
+  wall time), with collapsed-stack and speedscope flamegraph exports.
 * :mod:`repro.obs.runctx` — ambient per-request :class:`RunContext`
   (correlation id + request key) that travels into pool workers.
 * :mod:`repro.obs.logs` — structured JSON event logging stamped with

@@ -6,16 +6,13 @@ becomes a complete event (``"ph": "X"``) with microsecond ``ts``/``dur``,
 the span category as ``cat`` and its attributes as ``args``.  Spans keep
 their process id, so a parallel run renders worker pipelines as separate
 tracks instead of one impossible overlapping lane.
-
-Traces written before the span tracer existed (schema 1) have only flat
-pass records; those are exported as a single synthesized sequential
-track so old traces stay viewable.
 """
 
 from __future__ import annotations
 
 import json
 
+from repro.obs.schema import require_spans
 from repro.obs.spans import Span
 
 __all__ = ["chrome_trace_events", "trace_to_chrome_json"]
@@ -37,38 +34,14 @@ def _span_events(node: Span, default_pid: int, out: list[dict]) -> None:
         _span_events(child, default_pid, out)
 
 
-def _record_events(records: list[dict], out: list[dict]) -> None:
-    """Fallback: schema-1 traces have records but no span tree."""
-    cursor = 0.0
-    for record in records:
-        duration = float(record.get("seconds", 0.0))
-        out.append({
-            "name": record.get("pass", "pass"),
-            "cat": "pass",
-            "ph": "X",
-            "ts": round(cursor * 1e6, 3),
-            "dur": round(duration * 1e6, 3),
-            "pid": 1,
-            "tid": 1,
-            "args": {
-                "output": record.get("output"),
-                "gates_before": record.get("gates_before"),
-                "gates_after": record.get("gates_after"),
-                "details": record.get("details", {}),
-            },
-        })
-        cursor += duration
-
-
 def chrome_trace_events(trace: dict) -> list[dict]:
-    """The ``traceEvents`` list for one trace-JSON document."""
+    """The ``traceEvents`` list for one trace-JSON document.
+
+    Raises :class:`ValueError` for a document without a span tree.
+    """
     events: list[dict] = []
-    spans = trace.get("spans")
-    if spans:
-        root = Span.from_dict(spans)
-        _span_events(root, root.pid or 1, events)
-    else:
-        _record_events(trace.get("records", []), events)
+    root = Span.from_dict(require_spans(trace))
+    _span_events(root, root.pid or 1, events)
     return events
 
 

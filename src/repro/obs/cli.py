@@ -30,6 +30,9 @@ Subcommands::
     repro-trace validate FILE [--kind trace|metrics|manifest]
         Structural schema validation (what the CI perf-smoke job runs).
 
+``summary`` and ``export`` read the trace's span tree; a document
+without one (not written by this program) is unreadable input.
+
 Exit codes: 0 success / no regression; 1 regression or invalid document;
 2 unreadable input or usage error.
 """
@@ -72,12 +75,6 @@ def _seconds_by_pass(trace: dict) -> dict[str, float]:
         name: float(secs)
         for name, secs in (trace.get("seconds_by_pass") or {}).items()
     }
-
-
-def _self_time_hotspots(trace: dict, top: int) -> list[tuple[str, float]]:
-    from repro.flow.trace import FlowTrace
-
-    return FlowTrace.from_dict(trace).hotspots(top)
 
 
 # -- summary -----------------------------------------------------------------
@@ -149,7 +146,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.output and args.output != "-":
         kind = write_profile(profile, args.output, name=name)
         print(f"wrote {kind} flamegraph ({profile.sample_count} samples, "
-              f"~{profile.sample_count * profile.interval:.3f}s sampled) "
+              f"~{profile.total_weight:.3f}s sampled) "
               f"to {args.output}")
         return 0
     if args.collapsed:
@@ -352,7 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:  # e.g. a trace without a span tree
+        print(f"repro-trace: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

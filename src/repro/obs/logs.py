@@ -78,13 +78,17 @@ def log_event(event: str, **fields) -> None:
         line = json.dumps({"ts": record["ts"], "pid": record["pid"],
                            "event": event, "error": "unserializable fields"})
     if path is not None:
+        # Through the injectable faultfs primitives like every other
+        # durable writer, so disk-fault tests reach the log sink too.
+        from repro.resilience import faultfs
+
         try:
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+            fd = faultfs.fs_open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
             try:
-                os.write(fd, (line + "\n").encode("utf-8"))
+                faultfs.fs_write(fd, (line + "\n").encode("utf-8"))
             finally:
-                os.close(fd)
-        except OSError:  # pragma: no cover - sink gone; logging stays best-effort
+                faultfs.fs_close(fd)
+        except OSError:  # sink gone or disk full: logging stays best-effort
             pass
     if stream is not None:
         try:

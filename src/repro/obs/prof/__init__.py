@@ -2,8 +2,8 @@
 
 See :mod:`repro.obs.prof.profiler` for the sampler itself and
 :mod:`repro.obs.prof.export` for the collapsed-stack / speedscope
-flamegraph formats.  ``docs/OBSERVABILITY.md`` ("Profiling & perf
-history") covers design, overhead numbers and viewer how-tos.
+flamegraph formats.  ``docs/OBSERVABILITY.md`` ("Profiling") covers
+design, sample weights, overhead numbers and viewer how-tos.
 """
 
 from repro.obs.prof.export import (

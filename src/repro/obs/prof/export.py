@@ -4,7 +4,8 @@ Two formats, both plain text/JSON with no dependencies:
 
 * **collapsed stacks** (:func:`profile_to_collapsed`) — the
   ``frame;frame;frame count`` lines Brendan Gregg's ``flamegraph.pl``
-  and most modern viewers ingest.  The enclosing span path is prepended
+  and most modern viewers ingest; ``count`` is the stack's sample
+  weight in whole ``interval`` units.  The enclosing span path is prepended
   to each stack, so the flamegraph's base layers are the flow passes
   (``synthesize:z4ml;output:f0;factor-cube;…``) and the function frames
   grow out of the pass that called them.
@@ -36,7 +37,8 @@ def _merged_stack(spans: tuple[str, ...] | list[str],
 def profile_to_collapsed(profile: Profile) -> str:
     """Collapsed-stack lines (``a;b;c count``), sorted for stable diffs."""
     lines = []
-    for (spans, stack), count in profile.samples.items():
+    for (spans, stack), weight in profile.weights.items():
+        count = max(1, round(weight / profile.interval))
         lines.append(f"{';'.join(_merged_stack(spans, stack))} {count}")
     return "\n".join(sorted(lines)) + ("\n" if lines else "")
 
@@ -55,9 +57,9 @@ def profile_to_speedscope(profile: Profile, name: str = "repro") -> dict:
 
     samples: list[list[int]] = []
     weights: list[float] = []
-    for (spans, stack), count in sorted(profile.samples.items()):
+    for (spans, stack), weight in sorted(profile.weights.items()):
         samples.append([index_of(f) for f in _merged_stack(spans, stack)])
-        weights.append(count * profile.interval)
+        weights.append(weight)
 
     total = sum(weights)
     return {

@@ -2,15 +2,17 @@
 
 The profiler answers the question the span tracer cannot: *which
 functions* inside a slow pass are burning the time.  A background
-daemon thread wakes every ``interval`` seconds, grabs the profiled
-thread's current Python stack via :func:`sys._current_frames`, snapshots
-the ambient :class:`~repro.obs.spans.SpanTracer`'s open-span path, and
-aggregates the ``(span path, call stack)`` pair into a
-:class:`Profile`.  No signals, no C extension, no dependency — it works
-anywhere a thread can run, including inside the crash-isolated pool
-workers of :mod:`repro.flow.parallel` (each worker profiles itself and
-ships its :class:`Profile` home in the ``OutputRun``, exactly like its
-span tree).
+daemon thread wakes every ``interval`` seconds (later when the
+profiled thread holds the GIL), grabs the profiled thread's current
+Python stack via :func:`sys._current_frames`, snapshots the ambient
+:class:`~repro.obs.spans.SpanTracer`'s open-span path, and aggregates
+the ``(span path, call stack)`` pair into a :class:`Profile`, weighted
+by the time measured since the previous capture.  No signals, no C
+extension, no dependency — it works anywhere a thread can run,
+including inside the crash-isolated pool workers of
+:mod:`repro.flow.parallel` (each worker profiles itself and ships its
+:class:`Profile` home in the ``OutputRun``, exactly like its span
+tree).
 
 Sampling is *statistical*: reading another thread's frame objects and
 the tracer's span stack while they mutate is benign — a rare torn
@@ -56,8 +58,11 @@ class Profile:
 
     ``samples`` maps ``(span_path, stack)`` — both tuples of strings,
     outermost first — to the number of times that exact pair was
-    observed.  One sample's weight in seconds is the sampling
-    ``interval``, so ``count * interval`` estimates wall-time.
+    observed, and ``weights`` maps the same key to the wall-time in
+    seconds those samples stand for.  The sampler weighs each sample by
+    the time measured since its previous capture, so the weights sum to
+    about ``duration`` however late the sampler thread wakes; a sample
+    added without a measured weight stands for one ``interval``.
     """
 
     interval: float = DEFAULT_INTERVAL
@@ -66,15 +71,28 @@ class Profile:
     samples: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = field(
         default_factory=dict
     )
+    weights: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = field(
+        default_factory=dict
+    )
 
     def add(self, span_path: tuple[str, ...], stack: tuple[str, ...],
-            count: int = 1) -> None:
+            count: int = 1, weight: float | None = None) -> None:
+        """Count ``count`` samples of one pair; ``weight`` is the seconds
+        they stand for (default ``count * interval``)."""
         key = (span_path, stack)
         self.samples[key] = self.samples.get(key, 0) + count
+        if weight is None:
+            weight = count * self.interval
+        self.weights[key] = self.weights.get(key, 0.0) + weight
 
     @property
     def sample_count(self) -> int:
         return sum(self.samples.values())
+
+    @property
+    def total_weight(self) -> float:
+        """Seconds the samples stand for."""
+        return sum(self.weights.values())
 
     def merge(self, other: "Profile",
               span_prefix: tuple[str, ...] = ()) -> None:
@@ -85,24 +103,26 @@ class Profile:
         :meth:`~repro.obs.spans.SpanTracer.adopt` for spans shipped back
         from pool workers.
         """
-        for (span_path, stack), count in other.samples.items():
-            self.add(span_prefix + span_path, stack, count)
+        for key, count in other.samples.items():
+            span_path, stack = key
+            self.add(span_prefix + span_path, stack, count,
+                     other.weights[key])
         self.duration = max(self.duration, other.duration)
 
     def seconds_by_span(self) -> dict[str, float]:
         """Estimated seconds attributed to each innermost open span."""
         totals: dict[str, float] = {}
-        for (span_path, _stack), count in self.samples.items():
+        for (span_path, _stack), weight in self.weights.items():
             leaf = span_path[-1] if span_path else "(no span)"
-            totals[leaf] = totals.get(leaf, 0.0) + count * self.interval
+            totals[leaf] = totals.get(leaf, 0.0) + weight
         return dict(sorted(totals.items(), key=lambda item: -item[1]))
 
     def hotspots(self, top: int = 10) -> list[tuple[str, float]]:
         """Top leaf *functions* by estimated seconds."""
         totals: dict[str, float] = {}
-        for (_spans, stack), count in self.samples.items():
+        for (_spans, stack), weight in self.weights.items():
             leaf = stack[-1] if stack else "(unknown)"
-            totals[leaf] = totals.get(leaf, 0.0) + count * self.interval
+            totals[leaf] = totals.get(leaf, 0.0) + weight
         ranked = sorted(totals.items(), key=lambda item: -item[1])
         return ranked[:top]
 
@@ -116,7 +136,8 @@ class Profile:
             "duration": self.duration,
             "sample_count": self.sample_count,
             "samples": [
-                {"spans": list(spans), "stack": list(stack), "count": count}
+                {"spans": list(spans), "stack": list(stack), "count": count,
+                 "weight": self.weights[(spans, stack)]}
                 for (spans, stack), count in sorted(self.samples.items())
             ],
         }
@@ -133,6 +154,7 @@ class Profile:
                 tuple(sample.get("spans", [])),
                 tuple(sample.get("stack", [])),
                 sample.get("count", 1),
+                sample.get("weight"),
             )
         return profile
 
@@ -236,6 +258,10 @@ class SamplingProfiler:
         return tuple(frames)
 
     def _sample_loop(self) -> None:
+        # Under the GIL the sampler wakes far less often than every
+        # ``interval``; each sample stands for the time since the last
+        # capture, so the weights still add up to the wall time.
+        previous = self._started_at
         while not self._stop.wait(self.interval):
             try:
                 stack = self._capture_stack()
@@ -243,4 +269,7 @@ class SamplingProfiler:
                 continue
             if stack is None:
                 continue
-            self.profile.add(self._span_path(), stack)
+            now = time.perf_counter()
+            self.profile.add(self._span_path(), stack,
+                             weight=now - previous)
+            previous = now

@@ -94,6 +94,7 @@ PROFILE_SCHEMA: dict = {
                     "spans": {"type": "array", "items": _STRING},
                     "stack": {"type": "array", "items": _STRING},
                     "count": _INT,
+                    "weight": _NUMBER,
                 },
             },
         },
@@ -221,6 +222,20 @@ def validate_trace(payload: dict) -> list[str]:
             f"supported version {TRACE_SCHEMA_VERSION}"
         )
     return errors
+
+
+def require_spans(trace: dict) -> dict:
+    """A trace document's span tree; :class:`ValueError` when it has none.
+
+    Every trace the program writes carries its span tree, so a document
+    without one is input from outside the program.
+    """
+    spans = trace.get("spans")
+    if not spans:
+        raise ValueError(
+            f"trace schema {trace.get('schema')!r} has no span tree; only "
+            f"schema-{TRACE_SCHEMA_VERSION} traces with spans are readable")
+    return spans
 
 
 def validate_metrics(payload: dict) -> list[str]:

@@ -1,9 +1,10 @@
 """Deterministic filesystem fault injection for the storage stack.
 
 Every durable artifact in the system — the serve pending-request
-spool and lease files, the disk-backed result cache, the harness
-checkpoint store, the run-history file — is written through a handful
-of primitives: ``open``, ``write``, ``fsync``, ``rename``.  This
+spool and lease files, the disk-backed result cache and its quarantine
+move, the harness checkpoint store, the structured log sink — is
+written through a handful of primitives: ``open``, ``write``,
+``fsync``, ``rename``.  This
 module wraps exactly those primitives so a test (or the disk-fault
 gauntlet, :mod:`repro.serve.gauntlet` phase C) can inject ``ENOSPC``/``EIO``/partial-write/fsync-failure faults
 *deterministically* — by call count and path pattern, not by filling a

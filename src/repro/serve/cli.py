@@ -89,9 +89,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="structured JSON log sink shared with pool "
                              f"workers (default: {LOG_FILE_ENV}; "
                              "'-' = stderr, daemon lines only)")
-    parser.add_argument("--history", default=None, metavar="FILE",
-                        help="run-history JSONL to append per-request "
-                             "records to (default: REPRO_HISTORY_FILE)")
     args = parser.parse_args(argv)
 
     # A file sink travels into forked pool workers via the env var, so
@@ -110,7 +107,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
         cache_dir=resolve_cache_dir(args.cache_dir),
         cache_max_bytes=args.cache_max_mb * 1024 * 1024,
-        history_path=args.history,
     )
     state_dir = resolve_state_dir(args.state_dir)
     server = ReproServer(config, host=args.host, port=args.port,

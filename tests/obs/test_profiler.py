@@ -4,6 +4,8 @@ import json
 import threading
 import time
 
+import pytest
+
 from repro.obs.prof import (
     Profile,
     SamplingProfiler,
@@ -36,6 +38,22 @@ def test_profiler_samples_the_starting_thread():
     assert profile.duration >= 0.15
     leaves = {stack[-1] for (_spans, stack) in profile.samples}
     assert any("burn" in leaf for leaf in leaves)
+
+
+@pytest.mark.parametrize("interval", [0.001, 0.005])
+def test_sample_weight_matches_wall_time(interval):
+    """The sampler wakes late under the GIL; the weights still add up to
+    the profiled wall time."""
+    profiler = SamplingProfiler(interval=interval)
+    with profiler:
+        burn(0.25)
+    profile = profiler.profile
+    weight = sum(profile.seconds_by_span().values())
+    assert 0.8 <= weight / profile.duration <= 1.2, (
+        weight, profile.duration, profile.sample_count)
+    payload = json.loads(json.dumps(profile.as_dict()))
+    assert validate(payload, "profile") == []
+    assert Profile.from_dict(payload).weights == profile.weights
 
 
 def test_profiler_attributes_samples_to_ambient_spans():

@@ -7,6 +7,7 @@ import pytest
 from repro.circuits import get
 from repro.core.options import SynthesisOptions
 from repro.core.synthesis import synthesize_fprm
+from repro.flow.trace import FlowTrace
 from repro.obs.cli import diff_traces, main
 
 
@@ -133,15 +134,19 @@ def test_export_chrome_to_stdout(trace_file, capsys):
     assert document["displayTimeUnit"] == "ms"
 
 
-def test_export_schema1_records_only_trace(tmp_path, trace_dict, capsys):
+def test_trace_without_spans_is_rejected(tmp_path, trace_dict, capsys):
     old = {k: v for k, v in trace_dict.items()
            if k not in ("spans", "manifest")}
     old["schema"] = 1
+    with pytest.raises(ValueError, match="trace schema 1"):
+        FlowTrace.from_dict(old)
     path = tmp_path / "old.json"
     path.write_text(json.dumps(old))
-    assert main(["export", str(path), "--chrome"]) == 0
-    document = json.loads(capsys.readouterr().out)
-    assert document["traceEvents"], "records-only fallback produced no events"
+    for argv in (["summary", str(path)], ["export", str(path), "--chrome"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trace schema 1 has no span tree" in captured.err
 
 
 # -- validate ----------------------------------------------------------------

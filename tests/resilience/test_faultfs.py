@@ -214,3 +214,45 @@ def test_rules_reach_lease_writes(tmp_path):
     faultfs.install(parse_plan("write:partial:path=leases:count=1"))
     assert mgr.try_acquire("k2") is not None
     assert mgr.errors == 1
+
+
+def test_rules_reach_the_log_sink(tmp_path, monkeypatch):
+    from repro.obs import logs
+
+    path = tmp_path / "events.log"
+    monkeypatch.setenv(logs.LOG_FILE_ENV, str(path))
+    monkeypatch.setattr(logs, "_stream", None)
+    monkeypatch.setattr(logs, "_env_checked_pid", -1)
+    monkeypatch.setattr(logs, "_env_path", None)
+    registry = get_metrics_registry()
+    before = registry.counter("faultfs.injected", "").value
+    faultfs.install(parse_plan("write:eio:path=events.log:count=1"))
+    # Best-effort: the failed write is swallowed and the line is lost.
+    logs.log_event("lost")
+    assert registry.counter("faultfs.injected", "").value == before + 1
+    assert path.read_text() == ""
+    logs.log_event("kept")
+    assert [json.loads(line)["event"]
+            for line in path.read_text().splitlines()] == ["kept"]
+
+
+def test_rules_reach_the_cache_quarantine_move(tmp_path):
+    from repro.flow.disk_cache import DiskCacheTier
+
+    tier = DiskCacheTier(tmp_path / "cache")
+    key = "digest/fingerprint"
+    entry = tier.path_for(key)
+    entry.parent.mkdir(parents=True)
+    entry.write_text("not json at all {")
+    registry = get_metrics_registry()
+    injected = registry.counter("faultfs.injected", "").value
+    corruptions = registry.counter("cache.disk.corruptions", "").value
+    faultfs.install(parse_plan("replace:eio:path=quarantine:count=1"))
+    # The move aside fails: the entry is unlinked instead, and still
+    # counted as a corruption.
+    assert tier.load_entry(key) is None
+    assert not entry.exists()
+    assert list(tier.quarantine_dir.iterdir()) == []
+    assert registry.counter("cache.disk.corruptions", "").value \
+        == corruptions + 1
+    assert registry.counter("faultfs.injected", "").value == injected + 1
