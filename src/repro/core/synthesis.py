@@ -36,7 +36,11 @@ from repro.errors import VerificationError
 from repro.expr.kernels import set_kernels_enabled
 from repro.flow.cache import cache_key, get_result_cache
 from repro.flow.context import OutputReport, OutputRun
-from repro.flow.parallel import resolve_jobs, run_outputs_in_pool
+from repro.flow.parallel import (
+    SHIPPED_COUNTERS,
+    resolve_jobs,
+    run_outputs_in_pool,
+)
 from repro.flow.passes import (
     apply_polarity,
     exprs_differ,
@@ -358,10 +362,10 @@ class FprmSynthesizer:
             metrics.counter("flow.cache.hits").inc(hits)
         if misses:
             metrics.counter("flow.cache.misses").inc(misses)
-        # Fold the worker's ofdd.* counter deltas into this process's
-        # registry — the run's trace delta then includes pool work.
-        for name, value in (stats.get("ofdd") or {}).items():
-            if name.startswith("ofdd.") and value > 0:
+        # Fold the worker's counter deltas into this process's registry —
+        # the run's trace delta then includes pool work.
+        for name, value in (stats.get("counters") or {}).items():
+            if name.startswith(SHIPPED_COUNTERS) and value > 0:
                 metrics.counter(name).inc(value)
 
     # -- per-output pipeline ---------------------------------------------------

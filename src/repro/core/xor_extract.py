@@ -20,17 +20,20 @@ share between outputs — the sharing the paper reaches via SIS ``resub``.
 Divisor variables occupy ids ``n, n+1, …`` above the primary literals;
 :func:`extract_xor_divisors` returns the rewritten cube sets plus the
 divisor definitions (which may themselves use earlier divisors).
+
+A cube is an int bitmask of its literal ids from start to end, so the
+pair count runs on ``&``, ``^`` and ``bit_count``.  Divisor ids pass bit
+63 (``n`` plus up to 400 divisors), so the masks stay Python ints.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 _MAX_PAIRS_PER_FUNCTION = 20_000
 _MAX_ITERATIONS = 400
 
-Cube = frozenset  # of literal ids
+Cube = int  # bitmask of literal ids
 
 
 @dataclass
@@ -52,9 +55,7 @@ def extract_xor_divisors(
     masks_per_output: list[list[int]], num_literals: int
 ) -> XorExtraction:
     """Iteratively extract the best shared XOR divisor until none helps."""
-    functions = [
-        [_mask_to_cube(mask) for mask in masks] for masks in masks_per_output
-    ]
+    functions = [list(masks) for masks in masks_per_output]
     extraction = XorExtraction(
         num_literals=num_literals,
         functions=functions,
@@ -70,46 +71,42 @@ def extract_xor_divisors(
     return extraction
 
 
-def _mask_to_cube(mask: int) -> Cube:
-    lits = set()
-    while mask:
-        low = mask & -mask
-        lits.add(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(lits)
-
-
 def _best_divisor(
     functions: list[list[Cube]], divisor_bodies: list[list[Cube]]
 ) -> tuple[tuple[Cube, Cube] | None, int]:
-    count: Counter[tuple[Cube, Cube]] = Counter()
-    quotient_lits: Counter[tuple[Cube, Cube]] = Counter()
+    # pair -> [occurrences, quotient literals], in first-occurrence order
+    # (the first pair of the best saving wins).
+    stats: dict[tuple[Cube, Cube], list[int]] = {}
     for cubes in functions + divisor_bodies:
-        pairs = 0
-        for i in range(len(cubes)):
-            for j in range(i + 1, len(cubes)):
-                pairs += 1
-                if pairs > _MAX_PAIRS_PER_FUNCTION:
-                    break
-                common = cubes[i] & cubes[j]
-                a = cubes[i] - common
-                b = cubes[j] - common
+        budget = _MAX_PAIRS_PER_FUNCTION  # the first pairs in (i, j) order
+        for i, ci in enumerate(cubes):
+            partners = cubes[i + 1:i + 1 + budget]
+            budget -= len(partners)
+            for cj in partners:
+                common = ci & cj
+                a = ci ^ common
+                b = cj ^ common
                 if not a or not b:
                     continue
-                pair = (a, b) if sorted(a) <= sorted(b) else (b, a)
-                count[pair] += 1
-                quotient_lits[pair] += len(common)
-            if pairs > _MAX_PAIRS_PER_FUNCTION:
+                # a and b are disjoint: the lower lowest literal orders them.
+                pair = (a, b) if (a & -a) < (b & -b) else (b, a)
+                entry = stats.get(pair)
+                if entry is None:
+                    stats[pair] = [1, common.bit_count()]
+                else:
+                    entry[0] += 1
+                    entry[1] += common.bit_count()
+            if budget <= 0:
                 break
     best: tuple[Cube, Cube] | None = None
     best_value = 0
-    for pair, occurrences in count.items():
+    for pair, (occurrences, quotient_lits) in stats.items():
         if occurrences < 2:
             continue
-        lits_d = len(pair[0]) + len(pair[1])
+        lits_d = pair[0].bit_count() + pair[1].bit_count()
         # Each occurrence replaces 2 cubes (2·len(q) + lits(D) literals)
         # with one (len(q) + 1); the divisor body itself costs lits(D).
-        saving = quotient_lits[pair] + occurrences * (lits_d - 1) - lits_d
+        saving = quotient_lits + occurrences * (lits_d - 1) - lits_d
         if saving > best_value:
             best_value = saving
             best = pair
@@ -128,9 +125,9 @@ def _apply(extraction: XorExtraction, divisor: tuple[Cube, Cube]) -> None:
         used: set[Cube] = set()
         replacements: list[Cube] = []
         for cube in cubes:
-            if cube in used or not a <= cube:
+            if cube in used or (cube & a) != a:
                 continue
-            q = cube - a
+            q = cube ^ a
             partner = q | b
             if (
                 not (q & b)
@@ -140,7 +137,7 @@ def _apply(extraction: XorExtraction, divisor: tuple[Cube, Cube]) -> None:
             ):
                 used.add(cube)
                 used.add(partner)
-                replacements.append(q | {var})
+                replacements.append(q | (1 << var))
         return [c for c in cubes if c not in used] + replacements
 
     extraction.functions = [rewrite(f) for f in extraction.functions]

@@ -70,6 +70,11 @@ from repro.resilience.budget import Budget, current_budget, install_budget
 from repro.resilience.retry import RetryPolicy
 from repro.spec import OutputSpec
 
+#: Prefixes of the registry counters a worker ships home per output
+#: (``worker_stats["counters"]``): OFDD work, and FPRM quality fallbacks
+#: such as ``fprm.polarity.exhaustive_capped``.
+SHIPPED_COUNTERS = ("ofdd.", "fprm.")
+
 #: Environment default for ``SynthesisOptions.timeout_per_output``.
 TIMEOUT_ENV = "REPRO_TIMEOUT_PER_OUTPUT"
 
@@ -159,9 +164,9 @@ def _pool_worker(
     # reliably (spawn contexts start clean); apply the shipped option.
     previous_kernels = set_kernels_enabled(options.use_kernels)
     stats = {"pid": os.getpid(), "cache": {"hits": 0, "misses": 0}}
-    # Workers are long-lived: snapshot the ofdd.* counters so the stats
-    # shipped home are this output's delta, not the process lifetime's.
-    ofdd_before = get_metrics_registry().counter_values("ofdd.")
+    # Workers are long-lived: snapshot the shipped counters so the stats
+    # sent home are this output's delta, not the process lifetime's.
+    counters_before = get_metrics_registry().counter_values(SHIPPED_COUNTERS)
     tracer = (
         SpanTracer(root_name=f"output:{output.name}", category="output")
         if options.trace else None
@@ -214,14 +219,15 @@ def _pool_worker(
             root = tracer.finish()
             root.set(output=output.name)
             run.spans = [root.as_dict()]
-        ofdd_after = get_metrics_registry().counter_values("ofdd.")
-        ofdd_delta = {
-            name: value - ofdd_before.get(name, 0)
-            for name, value in ofdd_after.items()
-            if value - ofdd_before.get(name, 0)
+        counters_after = get_metrics_registry().counter_values(
+            SHIPPED_COUNTERS)
+        delta = {
+            name: value - counters_before.get(name, 0)
+            for name, value in counters_after.items()
+            if value - counters_before.get(name, 0)
         }
-        if ofdd_delta:
-            stats["ofdd"] = ofdd_delta
+        if delta:
+            stats["counters"] = delta
         run.worker_stats = stats
         log_event("worker.output.done", output=output.name,
                   cached=run.cached or stats["cache"]["hits"] > 0)

@@ -676,7 +676,7 @@ def factor_with_xor_divisors(form: FprmForm, width: int) -> ex.Expr:
         cached = expr_memo.get(var)
         if cached is None:
             body = extraction.divisors[var]
-            cached = substitute(factor_cubes([_cube_to_mask(c) for c in body]))
+            cached = substitute(factor_cubes(body))
             expr_memo[var] = cached
         return cached
 
@@ -699,15 +699,8 @@ def factor_with_xor_divisors(form: FprmForm, width: int) -> ex.Expr:
             return ex.xor2(children[0], children[1])
         return ex.xor_join(children)
 
-    top = factor_cubes([_cube_to_mask(c) for c in extraction.functions[0]])
+    top = factor_cubes(extraction.functions[0])
     return substitute(top)
-
-
-def _cube_to_mask(cube: frozenset) -> int:
-    mask = 0
-    for lit in cube:
-        mask |= 1 << lit
-    return mask
 
 
 def strashed_gate_count(expr: ex.Expr, width: int) -> int:

@@ -5,8 +5,9 @@ count varies wildly across the 2^n vectors — picking a good one is the
 classical fixed-polarity minimization problem.  The paper uses the FPRM
 form "only as the initial specification", so a decent vector is enough:
 
-* ``exhaustive`` — all 2^n vectors via Gray-code incremental flips (each
-  step is one O(2^n) butterfly), practical to ~12 variables;
+* ``exhaustive`` — the cube and literal counts of all 2^n vectors from
+  one extended Reed-Muller transform (3^n coefficients, O(n·3^n) numpy
+  work), up to 12 variables;
 * ``greedy`` — hill climbing by single-variable flips from the
   all-positive vector, O(passes · n · 2^n);
 * ``positive`` — the PPRM (all-positive) vector, always available, the only
@@ -20,8 +21,13 @@ import enum
 import numpy as np
 
 from repro.errors import BudgetExceededError
+from repro.obs.metrics import get_metrics_registry
 from repro.resilience.budget import current_budget, note_degradation
-from repro.truth.spectra import fprm_spectrum, spectrum_flip_polarity
+from repro.truth.spectra import (
+    extended_rm_spectrum,
+    fprm_spectrum,
+    spectrum_flip_polarity,
+)
 from repro.truth.table import TruthTable
 
 
@@ -55,7 +61,7 @@ def _cost(spectrum: np.ndarray, n: int) -> tuple[int, int]:
     A nonzero spectrum entry at index ``m`` is one FPRM cube whose
     literal count is ``popcount(m)``; spectra are 0/1 ``uint8`` arrays,
     so the literal total is one dot product against a per-width popcount
-    table and the Gray-code scan's per-step cost check is O(2^n) numpy
+    table and the greedy climb's per-flip cost check is O(2^n) numpy
     instead of a Python loop over the nonzero masks.
     """
     cubes = int(np.count_nonzero(spectrum))
@@ -96,7 +102,22 @@ def best_polarity_greedy(table: TruthTable, start: int | None = None) -> int:
 
 
 def best_polarity_exhaustive(table: TruthTable) -> int:
-    """Scan all 2^n polarity vectors with Gray-code incremental updates."""
+    """The vector with the fewest FPRM cubes, then the fewest literals,
+    then the largest value, over all 2^n polarity vectors.
+
+    The extended Reed-Muller vector holds every polarity's coefficients;
+    folding each ternary axis back to two entries counts them.  On one
+    axis a cube at digit 2 (the variable is in it) belongs to both
+    polarities and carries one more literal::
+
+        cubes'[d] = cubes[d] + cubes[2]
+        literals'[d] = literals[d] + literals[2] + cubes[2]
+
+    The fold runs from the outermost (slowest-varying) axis inward, so
+    each step reads contiguous blocks.  Index ``k`` of the folded arrays
+    has bit ``i`` set where variable ``i`` is negative (digit 1): it is
+    polarity ``universe ^ k``.
+    """
     n = table.n
     if n > _EXHAUSTIVE_MAX_VARS:
         raise ValueError(
@@ -106,25 +127,24 @@ def best_polarity_exhaustive(table: TruthTable) -> int:
     budget = current_budget()
     if budget is not None:
         # Entry check: an already-starved run (budget 0, or exhausted by
-        # earlier outputs) must fall to greedy even when the scan is too
-        # short for the strided in-loop check to ever fire.
+        # earlier outputs) falls to greedy before the transform is built.
         budget.check("polarity-exhaustive")
-    universe = (1 << n) - 1
-    polarity = universe
-    spectrum = fprm_spectrum(table, polarity)
-    best_polarity = polarity
-    best_cost = _cost(spectrum, n)
-    for step in range(1, 1 << n):
-        if budget is not None and not (step & 63):
+    # Up to 12 variables a polarity has at most 2^12 = 4096 cubes and
+    # 12·2^11 = 24,576 literals, so uint16 holds both counts.
+    cubes = extended_rm_spectrum(table).astype(np.uint16)
+    literals = np.zeros_like(cubes)
+    for var in reversed(range(n)):
+        if budget is not None:
             budget.check("polarity-exhaustive")
-        var = (step & -step).bit_length() - 1  # Gray-code transition bit
-        spectrum = spectrum_flip_polarity(spectrum, n, var, copy=False)
-        polarity ^= 1 << var
-        cost = _cost(spectrum, n)
-        if cost < best_cost or (cost == best_cost and polarity > best_polarity):
-            best_cost = cost
-            best_polarity = polarity
-    return best_polarity
+        axis_cubes = cubes.reshape(-1, 3, 3 ** var)
+        axis_literals = literals.reshape(-1, 3, 3 ** var)
+        both = axis_cubes[:, 2:, :]
+        cubes = axis_cubes[:, :2, :] + both
+        literals = axis_literals[:, :2, :] + axis_literals[:, 2:, :] + both
+    # One uint32 key orders (cubes, literals); argmin returns the first
+    # minimum, the smallest index, which is the largest polarity.
+    key = (cubes.reshape(-1).astype(np.uint32) << 16) | literals.reshape(-1)
+    return ((1 << n) - 1) ^ int(np.argmin(key))
 
 
 def choose_polarity(
@@ -132,26 +152,30 @@ def choose_polarity(
 ) -> int:
     """Pick a polarity vector per the requested strategy.
 
-    ``AUTO`` runs the exhaustive scan up to 12 variables (cheap at these
-    sizes) and greedy hill climbing above that.
+    ``AUTO`` runs the exhaustive search up to 12 variables (cheap at these
+    sizes) and greedy hill climbing above that.  ``EXHAUSTIVE`` does the
+    same above the ceiling, counting each such output in the
+    ``fprm.polarity.exhaustive_capped`` counter.
 
     Degradation ladder (budget exhaustion, see docs/RESILIENCE.md):
     exhaustive → greedy → best-so-far/all-positive.  Every rung yields a
     *correct* polarity vector — a worse vector only costs FPRM cubes —
     so a budget-starved search still feeds a sound flow.
     """
-    universe = (1 << table.n) - 1
     if strategy == PolarityStrategy.POSITIVE:
-        return universe
-    exhaustive = (
-        strategy == PolarityStrategy.EXHAUSTIVE
-        or (strategy != PolarityStrategy.GREEDY
-            and table.n <= _EXHAUSTIVE_MAX_VARS)
-    )
-    if exhaustive:
-        try:
-            return best_polarity_exhaustive(table)
-        except BudgetExceededError:
-            note_degradation("polarity", "greedy", "exhaustive scan")
-            return best_polarity_greedy(table)
-    return best_polarity_greedy(table)
+        return (1 << table.n) - 1
+    if strategy == PolarityStrategy.GREEDY:
+        return best_polarity_greedy(table)
+    if table.n > _EXHAUSTIVE_MAX_VARS:
+        if strategy == PolarityStrategy.EXHAUSTIVE:
+            get_metrics_registry().counter(
+                "fprm.polarity.exhaustive_capped",
+                "outputs above the 12-input ceiling whose exhaustive "
+                "polarity search ran greedy",
+            ).inc()
+        return best_polarity_greedy(table)
+    try:
+        return best_polarity_exhaustive(table)
+    except BudgetExceededError:
+        note_degradation("polarity", "greedy", "exhaustive scan")
+        return best_polarity_greedy(table)

@@ -207,8 +207,11 @@ class MetricsRegistry:
         with self._lock:
             self._metrics.clear()
 
-    def counter_values(self, prefix: str = "") -> dict[str, int | float]:
-        """Current values of the counters whose name starts with ``prefix``.
+    def counter_values(
+        self, prefix: str | tuple[str, ...] = ""
+    ) -> dict[str, int | float]:
+        """Current values of the counters whose name starts with ``prefix``
+        (one of them, for a tuple).
 
         A cheap point-in-time view for run-scoped deltas (e.g. the
         ``ofdd.*`` counters a trace attributes to one synthesis run).

@@ -2,6 +2,7 @@
 
 from repro.truth.table import TruthTable
 from repro.truth.spectra import (
+    extended_rm_spectrum,
     fprm_spectrum,
     inverse_pprm_spectrum,
     pprm_spectrum,
@@ -11,6 +12,7 @@ from repro.truth.spectra import (
 
 __all__ = [
     "TruthTable",
+    "extended_rm_spectrum",
     "fprm_spectrum",
     "inverse_pprm_spectrum",
     "pprm_spectrum",

@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from repro.circuits import get
+from repro.circuits.builders import expr_output, spec as build_spec
+from repro.circuits.generators import make_parity
 from repro.core.options import SynthesisOptions
 from repro.engine import (
     CACHE_DIR_ENV,
@@ -14,8 +16,12 @@ from repro.engine import (
     resolve_cache_dir,
     resolve_options,
 )
+from repro.expr import expression as ex
 from repro.flow.cache import get_result_cache
+from repro.fprm.polarity import PolarityStrategy
+from repro.network.blif import write_blif
 from repro.network.verify import networks_equivalent
+from repro.obs.metrics import get_metrics_registry
 
 
 @pytest.fixture(autouse=True)
@@ -79,6 +85,36 @@ def test_engine_run_dispatches_both_flows():
         assert base.flow.startswith("sislite (")
         assert base.baseline_script
     assert networks_equivalent(fprm.network, base.network)
+
+
+def test_exhaustive_polarity_above_the_ceiling_runs_greedy():
+    # 13 inputs is past the exhaustive ceiling but within the dense
+    # route: the explicit request runs greedy, as AUTO does, and counts.
+    spec = make_parity(13)
+    capped = get_metrics_registry().counter("fprm.polarity.exhaustive_capped")
+    before = capped.value
+    with SynthesisEngine() as engine:
+        exhaustive = engine.synthesize(
+            spec, polarity_strategy=PolarityStrategy.EXHAUSTIVE)
+        auto = engine.synthesize(spec, polarity_strategy=PolarityStrategy.AUTO)
+    assert exhaustive.verify is not None and bool(exhaustive.verify)
+    assert write_blif(exhaustive.network) == write_blif(auto.network)
+    assert capped.value == before + 1
+
+
+def test_pool_workers_ship_the_capped_count_home():
+    xor13 = ex.xor_([ex.Lit(i) for i in range(13)])
+    spec = build_spec("two-parity13", 14, [
+        expr_output(f"p{k}", tuple(range(k, k + 13)), xor13) for k in (0, 1)
+    ])
+    capped = get_metrics_registry().counter("fprm.polarity.exhaustive_capped")
+    before = capped.value
+    with SynthesisEngine() as engine:
+        result = engine.synthesize(
+            spec, polarity_strategy=PolarityStrategy.EXHAUSTIVE, jobs=2,
+            cache=False)
+    assert bool(result.verify)
+    assert capped.value == before + 2
 
 
 def test_request_key_tracks_semantics():
