@@ -78,13 +78,6 @@ class SynthesisOptions:
     #: Pool rebuild + retry rounds for crashed/hung workers before the
     #: affected outputs fall back to in-process serial execution.
     retries: int = 2
-    #: Vectorized cube-algebra kernels (:mod:`repro.expr.kernels`) for
-    #: the pairwise scans of cover containment and ESOP minimization.
-    #: Bit-identical to the scalar loops by construction (the
-    #: ``kernels-vs-scalar`` fuzz oracle enforces it), so this is an
-    #: execution knob, not a semantic one; ``repro-synth --no-kernels``
-    #: is the escape hatch.
-    use_kernels: bool = True
 
     def replace(self, **changes) -> "SynthesisOptions":
         from dataclasses import replace as dc_replace
@@ -94,9 +87,8 @@ class SynthesisOptions:
     def semantic_fingerprint(self) -> tuple:
         """The knobs that change *what* is synthesized (cache key part).
 
-        Excludes ``verify``, ``jobs``, ``trace``, ``cache`` itself and
-        ``use_kernels``: those change how the flow runs, never the
-        resulting variants.
+        Excludes ``verify``, ``jobs``, ``trace`` and ``cache`` itself:
+        those change how the flow runs, never the resulting variants.
         The resilience knobs (``budget_seconds``, ``timeout_per_output``,
         ``retries``) are excluded too: an *un-degraded* result is
         identical with or without them, and results that did degrade are

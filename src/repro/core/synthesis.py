@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 from repro.core.options import SynthesisOptions
 from repro.errors import VerificationError
-from repro.expr.kernels import set_kernels_enabled
 from repro.flow.cache import cache_key, get_result_cache
 from repro.flow.context import OutputReport, OutputRun
 from repro.flow.parallel import (
@@ -123,14 +122,9 @@ class FprmSynthesizer:
                              tracer=tracer).start()
             if options.profile and tracer is not None else None
         )
-        # Kernel selection is ambient like the budget: the option drives
-        # the process-wide switch for the duration of the run (restored
-        # after, so engines with different options can share a process).
-        previous_kernels = set_kernels_enabled(options.use_kernels)
         try:
             return self._run(spec, tracer, profiler)
         finally:
-            set_kernels_enabled(previous_kernels)
             if profiler is not None:
                 profiler.stop()
             if budget is not None:

@@ -21,27 +21,18 @@ bounded number of rounds.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import BudgetExceededError
 from repro.expr.cube import Cube
 from repro.expr.esop import EsopCover, FprmForm
-from repro.expr.kernels import CoverMatrix, kernels_enabled
 from repro.obs.spans import span as obs_span
 from repro.resilience.budget import (
     budget_tick,
-    budget_tick_many,
     current_budget,
     note_degradation,
 )
 from repro.utils.bitops import bit_indices
 
 _MAX_ROUNDS = 12
-
-#: Below this cover size the numpy setup cost of the matrix scans beats
-#: their win; the scalar loops stay in charge.  Pure perf cutoff — both
-#: paths are bit-identical, so the threshold never changes results.
-_KERNEL_MIN_CUBES = 8
 
 
 def esop_from_fprm(form: FprmForm) -> EsopCover:
@@ -122,44 +113,8 @@ def _difference_vars(a: Cube, b: Cube) -> list[int]:
     return list(bit_indices(mask))
 
 
-def _lex_pair_rank(k: int, i: int, j: int) -> int:
-    """1-based position of ``(i, j)`` in the upper-triangle scan order —
-    how many pairs the scalar loops visit up to and including the hit."""
-    return i * (2 * k - i - 1) // 2 + (j - i)
-
-
-def _first_reducible_pair(cubes: list[Cube]) -> tuple[int, int] | None:
-    """Lexicographically first pair at ESOP distance ≤ 1, via one matrix
-    scan (the selection the scalar ``_reduce_pass`` loops perform)."""
-    k = len(cubes)
-    matrix = CoverMatrix.from_cubes(cubes[0].n, cubes)
-    hits = matrix.esop_distance_matrix() <= 1
-    hits[np.tril_indices(k)] = False
-    flat = np.flatnonzero(hits.ravel())
-    if flat.size == 0:
-        return None
-    return divmod(int(flat[0]), k)
-
-
-def _reduce_pair(cubes: list[Cube], i: int, j: int) -> None:
-    """Apply the scalar d ≤ 1 rewrite to the pair ``(i, j)`` in place."""
-    diff = _difference_vars(cubes[i], cubes[j])
-    if len(diff) == 0:
-        del cubes[j], cubes[i]
-    else:
-        var = diff[0]
-        merged = _with_state(
-            cubes[i], var,
-            _merge_state(_state(cubes[i], var), _state(cubes[j], var)),
-        )
-        del cubes[j], cubes[i]
-        cubes.append(merged)
-
-
 def _reduce_pass(n: int, cubes: list[Cube]) -> tuple[list[Cube], bool]:
     """Cancel d=0 pairs and merge d=1 pairs until no pair qualifies."""
-    if kernels_enabled() and len(cubes) >= _KERNEL_MIN_CUBES:
-        return _reduce_pass_kernel(n, cubes)
     changed = False
     progress = True
     while progress:
@@ -190,32 +145,8 @@ def _reduce_pass(n: int, cubes: list[Cube]) -> tuple[list[Cube], bool]:
     return cubes, changed
 
 
-def _reduce_pass_kernel(n: int, cubes: list[Cube]) -> tuple[list[Cube], bool]:
-    """Matrix-selected :func:`_reduce_pass` (bit-identical rewrites).
-
-    Each iteration finds the same pair the scalar scan would act on —
-    the lexicographically first at distance ≤ 1 — then applies the
-    scalar rewrite.  Budget accounting matches the pairs the scalar
-    loops would have visited.
-    """
-    changed = False
-    while len(cubes) >= 2:
-        hit = _first_reducible_pair(cubes)
-        k = len(cubes)
-        if hit is None:
-            budget_tick_many("esop-reduce", k * (k - 1) // 2)
-            break
-        i, j = hit
-        budget_tick_many("esop-reduce", _lex_pair_rank(k, i, j))
-        _reduce_pair(cubes, i, j)
-        changed = True
-    return cubes, changed
-
-
 def _exorlink_pass(n: int, cubes: list[Cube]) -> bool:
     """Greedy exorlink-2: accept a rewrite if it enables a d≤1 reduction."""
-    if kernels_enabled() and len(cubes) >= _KERNEL_MIN_CUBES:
-        return _exorlink_pass_kernel(n, cubes)
     for i in range(len(cubes)):
         for j in range(i + 1, len(cubes)):
             budget_tick("esop-exorlink")
@@ -238,56 +169,6 @@ def _exorlink_pass(n: int, cubes: list[Cube]) -> bool:
                     cubes[j] = new_b
                     return True
     return False
-
-
-def _exorlink_pass_kernel(n: int, cubes: list[Cube]) -> bool:
-    """Matrix-selected :func:`_exorlink_pass` (bit-identical rewrites).
-
-    One distance matrix yields the d=2 candidate pairs in the scalar
-    scan order; the exorlink rewrite and its acceptance test keep the
-    scalar cube algebra, with the enables-a-reduction probe batched as
-    two distance-to-cube sweeps.
-    """
-    k = len(cubes)
-    matrix = CoverMatrix.from_cubes(n, cubes)
-    accounted = 0
-    for i, j in matrix.exorlink_pairs(distance=2):
-        rank = _lex_pair_rank(k, i, j)
-        budget_tick_many("esop-exorlink", rank - accounted)
-        accounted = rank
-        a, b = cubes[i], cubes[j]
-        u, v = _difference_vars(a, b)
-        for first, second in ((u, v), (v, u)):
-            new_a = _with_state(
-                a, second,
-                _merge_state(_state(a, second), _state(b, second)),
-            )
-            new_b = _with_state(
-                b, first,
-                _merge_state(_state(a, first), _state(b, first)),
-            )
-            if _enables_reduction_kernel(matrix, i, j, new_a, new_b):
-                cubes[i] = new_a
-                cubes[j] = new_b
-                return True
-    budget_tick_many("esop-exorlink", k * (k - 1) // 2 - accounted)
-    return False
-
-
-def _enables_reduction_kernel(matrix: CoverMatrix, i: int, j: int,
-                              new_a: Cube, new_b: Cube) -> bool:
-    """Vectorized :func:`_enables_reduction` over the pass matrix."""
-    near = (matrix.esop_distance_to(new_a.pos, new_a.neg) <= 1) | (
-        matrix.esop_distance_to(new_b.pos, new_b.neg) <= 1
-    )
-    near[i] = near[j] = False
-    if bool(near.any()):
-        return True
-    return _cube_esop_distance(new_a, new_b) <= 1
-
-
-def _cube_esop_distance(a: Cube, b: Cube) -> int:
-    return (((a.pos ^ b.pos) | (a.neg ^ b.neg))).bit_count()
 
 
 def _enables_reduction(cubes: list[Cube], i: int, j: int,

@@ -14,11 +14,6 @@ from dataclasses import dataclass, field
 from repro.errors import DimensionError
 from repro.expr.cube import Cube
 
-#: Below this cover size the numpy setup cost of the matrix SCC scan
-#: beats its win; the scalar loop stays in charge.  Pure perf cutoff —
-#: both paths are bit-identical, so the threshold never changes results.
-_KERNEL_MIN_CUBES = 8
-
 
 @dataclass(frozen=True)
 class Cover:
@@ -90,12 +85,6 @@ class Cover:
 
     def single_cube_containment(self) -> "Cover":
         """Drop cubes contained in another single cube (SCC minimization)."""
-        if len(self.cubes) >= _KERNEL_MIN_CUBES:
-            # Deferred import: repro.expr.kernels imports Cover.
-            from repro.expr.kernels import kernels_enabled, scc_cover
-
-            if kernels_enabled():
-                return scc_cover(self)
         kept: list[Cube] = []
         # Sorting by decreasing freedom makes the quadratic scan cheaper:
         # big cubes absorb small ones early.

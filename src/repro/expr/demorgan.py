@@ -29,54 +29,14 @@ def minimize_inverters_guarded(expr: ex.Expr, width: int) -> ex.Expr:
     hashed network and keep the rewrite only when it does not increase
     (gates, inverters).
     """
+    from repro.network.build import strashed_cost
+
     rewritten = minimize_inverters(expr)
     if rewritten is expr:
         return expr
-    if _network_cost(rewritten, width) <= _network_cost(expr, width):
+    if strashed_cost(rewritten, width) <= strashed_cost(expr, width):
         return rewritten
     return expr
-
-
-def _network_cost(expr: ex.Expr, width: int) -> tuple[int, int]:
-    from repro.network.netlist import GateType, Network
-
-    net = Network(width)
-    memo: dict[int, int] = {}
-
-    def add(node: ex.Expr) -> int:
-        cached = memo.get(id(node))
-        if cached is not None:
-            return cached
-        if isinstance(node, ex.Const):
-            result = net.const1 if node.value else net.const0
-        elif isinstance(node, ex.Lit):
-            pi = net.pi(node.var)
-            result = net.add_not(pi) if node.negated else pi
-        elif isinstance(node, ex.Not):
-            result = net.add_not(add(node.arg))
-        else:
-            kids = [add(child) for child in node.children()]
-            if isinstance(node, ex.And):
-                result = net.add_and_tree(kids)
-            elif isinstance(node, ex.Or):
-                result = net.add_or_tree(kids)
-            else:
-                result = net.add_xor_tree(kids)
-        memo[id(node)] = result
-        return result
-
-    net.set_outputs([add(expr)])
-    gates = 0
-    inverters = 0
-    for n in net.live_nodes():
-        kind = net.type_of(n)
-        if kind is GateType.AND or kind is GateType.OR:
-            gates += 1
-        elif kind is GateType.XOR:
-            gates += 3
-        elif kind is GateType.NOT:
-            inverters += 1
-    return (gates, inverters)
 
 
 def _phase(

@@ -53,7 +53,6 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.core.options import SynthesisOptions
 from repro.errors import ReproError, WorkerCrashError
-from repro.expr.kernels import set_kernels_enabled
 from repro.flow.cache import cache_key, get_result_cache
 from repro.flow.context import OutputRun
 from repro.flow.passes import run_output_pipeline
@@ -160,9 +159,6 @@ def _pool_worker(
     # this worker's log lines join the parent's correlation id.
     previous_context = install_run_context(context) \
         if context is not None else None
-    # The kernel switch is process-wide and never fork-inherited
-    # reliably (spawn contexts start clean); apply the shipped option.
-    previous_kernels = set_kernels_enabled(options.use_kernels)
     stats = {"pid": os.getpid(), "cache": {"hits": 0, "misses": 0}}
     # Workers are long-lived: snapshot the shipped counters so the stats
     # sent home are this output's delta, not the process lifetime's.
@@ -233,7 +229,6 @@ def _pool_worker(
                   cached=run.cached or stats["cache"]["hits"] > 0)
         return run
     finally:
-        set_kernels_enabled(previous_kernels)
         if profiler is not None:
             profiler.stop()
         if tracer is not None:

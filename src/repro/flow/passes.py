@@ -39,7 +39,7 @@ from repro.flow.base import OutputPass, PassManager
 from repro.flow.context import FlowContext, OutputReport, ReducedCandidate
 from repro.flow.trace import PassRecord
 from repro.fprm.polarity import choose_polarity
-from repro.network.build import add_expr, network_from_exprs
+from repro.network.build import add_expr, network_from_exprs, strashed_cost
 from repro.network.netlist import Network
 from repro.obs.spans import span as obs_span
 from repro.ofdd.manager import OfddManager
@@ -184,7 +184,7 @@ class FactorCubePass(OutputPass):
                                              FactorMethod.AUTO):
             return {"skipped": f"method={ctx.options.factor_method.value}"}
         expr = factor_cubes(list(ctx.form.cubes))
-        gates = strashed_gate_count(expr, ctx.output.width)
+        gates = strashed_cost(expr, ctx.output.width)[0]
         ctx.candidates.append(("cube", expr))
         ctx.note_gates(gates)
         return {"gates": gates}
@@ -223,11 +223,11 @@ class FactorOfddPass(OutputPass):
                 raise  # nothing cheaper exists: direct fallback handles it
             note_degradation("factor-ofdd", "cube-method", "ofdd factoring")
             expr = factor_cubes(list(ctx.form.cubes))
-            gates = strashed_gate_count(expr, ctx.output.width)
+            gates = strashed_cost(expr, ctx.output.width)[0]
             ctx.candidates.append(("cube", expr))
             ctx.note_gates(gates)
             return {"gates": gates, "fallback": True, "degraded": True}
-        gates = strashed_gate_count(expr, ctx.output.width)
+        gates = strashed_cost(expr, ctx.output.width)[0]
         ctx.candidates.append(("ofdd", expr))
         ctx.note_gates(gates)
         return {"gates": gates, "fallback": not applies,
@@ -253,7 +253,7 @@ class FactorXorFxPass(OutputPass):
                 raise
             note_degradation("factor-xorfx", "skipped", "xor fast-extract")
             return {"skipped": "budget"}
-        gates = strashed_gate_count(expr, ctx.output.width)
+        gates = strashed_cost(expr, ctx.output.width)[0]
         ctx.candidates.append(("xor-fx", expr))
         ctx.note_gates(gates)
         return {"gates": gates}
@@ -278,7 +278,7 @@ class RedundancyRemovalPass(OutputPass):
                 # kept as-is (ladder: reduced -> unreduced).
                 note_degradation("redundancy-removal", "unreduced",
                                  f"candidate {tag}")
-                gates = strashed_gate_count(expr, ctx.output.width)
+                gates = strashed_cost(expr, ctx.output.width)[0]
                 reduced = (expr, None, gates, gates)
             ctx.reduced.append(ReducedCandidate(
                 tag=tag, expr=expr, reduced=reduced[0],
@@ -304,7 +304,7 @@ class RedundancyRemovalPass(OutputPass):
         structurally-hashed network sizes (DAG sharing counted once,
         matching how the result will be built)."""
         output, form = ctx.output, ctx.form
-        gates_before = strashed_gate_count(literal_expr, output.width)
+        gates_before = strashed_cost(literal_expr, output.width)[0]
         if form is None:
             # No explicit cube set — the paper's pattern machinery (OC/SA1
             # sets come from the cubes) has nothing to work from; this is
@@ -326,7 +326,7 @@ class RedundancyRemovalPass(OutputPass):
             tree = remover.run()
             stats = remover.stats
             literal_expr = tr.expr_from_tree(tree)
-        gates_after = strashed_gate_count(literal_expr, output.width)
+        gates_after = strashed_cost(literal_expr, output.width)[0]
         return literal_expr, stats, gates_after, gates_before
 
 
@@ -701,41 +701,6 @@ def factor_with_xor_divisors(form: FprmForm, width: int) -> ex.Expr:
 
     top = factor_cubes(extraction.functions[0])
     return substitute(top)
-
-
-def strashed_gate_count(expr: ex.Expr, width: int) -> int:
-    """Gate count of ``expr`` as a structurally-hashed network."""
-    net = Network(width)
-    net.set_outputs([add_literal_expr(net, expr)])
-    return net.two_input_gate_count()
-
-
-def add_literal_expr(net: Network, expr: ex.Expr,
-                     memo: dict[int, int] | None = None) -> int:
-    """Like network.build.add_expr but id-memoized for shared DAG exprs."""
-    if memo is None:
-        memo = {}
-    key = id(expr)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if isinstance(expr, ex.Const):
-        result = net.const1 if expr.value else net.const0
-    elif isinstance(expr, ex.Lit):
-        pi = net.pi(expr.var)
-        result = net.add_not(pi) if expr.negated else pi
-    elif isinstance(expr, ex.Not):
-        result = net.add_not(add_literal_expr(net, expr.arg, memo))
-    else:
-        kids = [add_literal_expr(net, child, memo) for child in expr.children()]
-        if isinstance(expr, ex.And):
-            result = net.add_and_tree(kids)
-        elif isinstance(expr, ex.Or):
-            result = net.add_or_tree(kids)
-        else:
-            result = net.add_xor_tree(kids)
-    memo[key] = result
-    return result
 
 
 def expanded_gate_count(expr: ex.Expr, memo: dict[int, int] | None = None) -> int:

@@ -16,11 +16,6 @@ reproducers:
 ``cache-key-collision``
     The result-cache key stops hashing the output's function and keys on
     width alone, so distinct outputs of one run can alias.
-``kernel-distance-skew``
-    The vectorized ESOP distance matrix under-reports distance-2 pairs
-    as distance 1 — the classic off-by-one in a popcount reduction — so
-    the kernel path merges cubes the scalar loops would never touch.
-    Only the ``kernels-vs-scalar`` oracle's vectorized arm is affected.
 
 Injection patches the *importing* module's bindings (``repro.flow.passes``
 and ``repro.core.synthesis`` import these names directly), so only the
@@ -119,30 +114,6 @@ def _fault_cache_key_collision() -> Iterator[None]:
 
 
 @contextlib.contextmanager
-def _fault_kernel_distance_skew() -> Iterator[None]:
-    from repro.esopmin import exorcism
-    from repro.expr.kernels import CoverMatrix
-
-    original = CoverMatrix.esop_distance_matrix
-    original_min = exorcism._KERNEL_MIN_CUBES
-
-    def faulty(self):
-        distance = original(self)
-        distance[distance == 2] = 1
-        return distance
-
-    # Drop the size cutoff too, so fuzz-sized covers hit the kernel path
-    # and the skewed matrix actually steers a (bogus) merge.
-    CoverMatrix.esop_distance_matrix = faulty
-    exorcism._KERNEL_MIN_CUBES = 2
-    try:
-        yield
-    finally:
-        CoverMatrix.esop_distance_matrix = original
-        exorcism._KERNEL_MIN_CUBES = original_min
-
-
-@contextlib.contextmanager
 def _set_env(**values: str | None) -> Iterator[None]:
     """Temporarily set (or with ``None``, unset) environment variables."""
     saved = {key: os.environ.get(key) for key in values}
@@ -215,7 +186,6 @@ FAULTS: dict[str, Callable[[], contextlib.AbstractContextManager]] = {
     "drop-fprm-cube": _fault_drop_fprm_cube,
     "unguarded-xor-to-or": _fault_unguarded_xor_to_or,
     "cache-key-collision": _fault_cache_key_collision,
-    "kernel-distance-skew": _fault_kernel_distance_skew,
     "worker-crash": _fault_worker_crash,
     "worker-hang": _fault_worker_hang,
     "cache-corrupt-entry": _fault_cache_corrupt_entry,

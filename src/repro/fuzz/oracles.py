@@ -21,12 +21,8 @@ from dataclasses import dataclass
 from repro.core.options import FactorMethod, SynthesisOptions
 from repro.core.synthesis import SynthesisResult
 from repro.engine import EngineConfig, SynthesisEngine
-from repro.errors import TooManyVariablesError
-from repro.esopmin import esop_from_fprm, minimize_esop
-from repro.expr.kernels import set_kernels_enabled
 from repro.flow.cache import get_result_cache
 from repro.fprm.polarity import PolarityStrategy
-from repro.truth.spectra import fprm_from_table
 from repro.network.verify import (
     counterexample,
     equivalent_to_spec,
@@ -255,91 +251,6 @@ def oracle_degradation_ladder(spec: CircuitSpec) -> list[Finding]:
     return findings
 
 
-def _kernels_on_off(fn):
-    """Run ``fn`` once with the vectorized kernels and once without."""
-    previous = set_kernels_enabled(True)
-    try:
-        fast = fn()
-        set_kernels_enabled(False)
-        slow = fn()
-    finally:
-        set_kernels_enabled(previous)
-    return fast, slow
-
-
-def oracle_kernels_vs_scalar(spec: CircuitSpec) -> list[Finding]:
-    """Vectorized cube-algebra kernels vs. the scalar reference loops.
-
-    ``use_kernels`` is an execution knob, not a semantic one: the matrix
-    scans in :mod:`repro.expr.kernels` must select exactly the work the
-    scalar loops would, so kernel and scalar runs are required to be
-    bit-identical.  Two arms: the full flow under the
-    ``use_kernels`` knob (same function, same gate/literal counts), and
-    the kernel-gated cube subsystems head-to-head on covers derived from
-    the spec — ESOP minimization and single-cube containment must return
-    the *exact same cube tuples* either way.
-    """
-    findings: list[Finding] = []
-    fast = _synthesize(spec, use_kernels=True)
-    slow = _synthesize(spec, use_kernels=False)
-    _check_spec(spec, fast, "kernels-vs-scalar", "kernels", findings)
-    _check_spec(spec, slow, "kernels-vs-scalar", "scalar", findings)
-    _check_cross(fast, slow, "kernels-vs-scalar", "kernels vs scalar",
-                 findings)
-    if (
-        fast.literals != slow.literals
-        or fast.two_input_gates != slow.two_input_gates
-    ):
-        findings.append(
-            Finding(
-                check="kernels-vs-scalar",
-                detail=(
-                    f"metrics diverge: kernels "
-                    f"{fast.two_input_gates} gates/{fast.literals} lits "
-                    f"vs scalar {slow.two_input_gates}/{slow.literals}"
-                ),
-            )
-        )
-    for output in spec.outputs:
-        try:
-            table = output.local_table()
-        except TooManyVariablesError:
-            continue
-        esop = esop_from_fprm(fprm_from_table(table, 0))
-        kern, ref = _kernels_on_off(lambda: minimize_esop(esop))
-        if kern.cubes != ref.cubes:
-            findings.append(
-                Finding(
-                    check="kernels-vs-scalar",
-                    detail=(
-                        f"ESOP minimization diverges on output "
-                        f"{output.name}: kernels produced "
-                        f"{len(kern.cubes)} cube(s), scalar "
-                        f"{len(ref.cubes)}"
-                    ),
-                )
-            )
-        if output.cover is None:
-            continue
-        cover = output.cover
-        kern, ref = _kernels_on_off(
-            lambda: cover.single_cube_containment()
-        )
-        if kern.cubes != ref.cubes:
-            findings.append(
-                Finding(
-                    check="kernels-vs-scalar",
-                    detail=(
-                        f"single-cube containment diverges on output "
-                        f"{output.name}: kernels kept "
-                        f"{len(kern.cubes)} cube(s), scalar "
-                        f"{len(ref.cubes)}"
-                    ),
-                )
-            )
-    return findings
-
-
 ORACLES = {
     "cube-vs-ofdd": oracle_cube_vs_ofdd,
     "polarity-variants": oracle_polarity_variants,
@@ -347,7 +258,6 @@ ORACLES = {
     "disk-cache-vs-uncached": oracle_disk_cache_vs_uncached,
     "serial-vs-parallel": oracle_serial_vs_parallel,
     "degradation-ladder": oracle_degradation_ladder,
-    "kernels-vs-scalar": oracle_kernels_vs_scalar,
 }
 
 #: Oracles with a large fixed cost per run (pool spin-up); the runner

@@ -100,10 +100,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="pool retries per output after a worker "
                              "crash/hang before the in-process fallback "
                              "(default 2; fprm flow only)")
-    parser.add_argument("--no-kernels", action="store_true",
-                        help="run the scalar cube-algebra loops instead "
-                             "of the vectorized kernels (bit-identical "
-                             "results; escape hatch / A-B timing)")
     args = parser.parse_args(argv)
 
     spec = load_spec(pathlib.Path(args.input))
@@ -120,7 +116,6 @@ def main(argv: list[str] | None = None) -> int:
         budget_seconds=args.budget_seconds,
         timeout_per_output=args.timeout_per_output,
         retries=args.retries,
-        use_kernels=False if args.no_kernels else None,
     )
     config = EngineConfig(
         options=options,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.expr import expression as ex
-from repro.network.netlist import Network
+from repro.network.netlist import GateType, Network
 
 
 def add_expr(net: Network, expr: ex.Expr,
@@ -52,6 +52,27 @@ def add_expr(net: Network, expr: ex.Expr,
             )
     _memo[id(expr)] = result
     return result
+
+
+def strashed_cost(expr: ex.Expr, width: int) -> tuple[int, int]:
+    """(gates, inverters) of ``expr`` built as a structurally-hashed network.
+
+    Gates count as in :meth:`Network.two_input_gate_count` (AND/OR = 1,
+    XOR = 3); inverters are the live NOT nodes.
+    """
+    net = Network(width)
+    net.set_outputs([add_expr(net, expr)])
+    types = net.types
+    gates = inverters = 0
+    for node in net.live_nodes():
+        gate = types[node]
+        if gate is GateType.AND or gate is GateType.OR:
+            gates += 1
+        elif gate is GateType.XOR:
+            gates += 3
+        elif gate is GateType.NOT:
+            inverters += 1
+    return gates, inverters
 
 
 def network_from_exprs(

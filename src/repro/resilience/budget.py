@@ -30,7 +30,6 @@ __all__ = [
     "Budget",
     "DegradationRecord",
     "budget_tick",
-    "budget_tick_many",
     "current_budget",
     "effective_budget_seconds",
     "install_budget",
@@ -121,21 +120,6 @@ class Budget:
             return
         self.check(where)
 
-    def tick_many(self, where: str, count: int) -> None:
-        """Advance the tick counter by ``count`` at once.
-
-        Batched loops (vectorized pair scans) account for the same
-        amount of work as ``count`` sequential :meth:`tick` calls; the
-        clock is read when the batch crosses a stride boundary, exactly
-        as the equivalent tick sequence would have.
-        """
-        if self.deadline is None or count <= 0:
-            return
-        before = self._ticks
-        self._ticks = before + count
-        if before // TICK_STRIDE != self._ticks // TICK_STRIDE:
-            self.check(where)
-
     # -- degradation notes -------------------------------------------------
 
     def note(self, record: DegradationRecord) -> None:
@@ -181,13 +165,6 @@ def budget_tick(where: str) -> None:
     budget = _AMBIENT.budget
     if budget is not None:
         budget.tick(where)
-
-
-def budget_tick_many(where: str, count: int) -> None:
-    """Ambient :meth:`Budget.tick_many` — bulk accounting for batched scans."""
-    budget = _AMBIENT.budget
-    if budget is not None:
-        budget.tick_many(where, count)
 
 
 def note_degradation(stage: str, fallback: str, where: str = "") -> None:

@@ -82,9 +82,6 @@ def main(argv: list[str] | None = None) -> int:
                              "(0 = all cores, the default)")
     parser.add_argument("--no-verify", action="store_true",
                         help="skip equivalence checking per job")
-    parser.add_argument("--no-kernels", action="store_true",
-                        help="scalar cube-algebra loops instead of the "
-                             "vectorized kernels (bit-identical results)")
     parser.add_argument("--log-file", default=None, metavar="FILE",
                         help="structured JSON log sink shared with pool "
                              f"workers (default: {LOG_FILE_ENV}; "
@@ -103,7 +100,6 @@ def main(argv: list[str] | None = None) -> int:
             verify=not args.no_verify,
             cache=True,
             jobs=args.jobs,
-            use_kernels=False if args.no_kernels else None,
         ),
         cache_dir=resolve_cache_dir(args.cache_dir),
         cache_max_bytes=args.cache_max_mb * 1024 * 1024,

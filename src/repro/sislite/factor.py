@@ -25,7 +25,7 @@ from repro.sislite.divisors import (
 _KERNEL_COVER_LIMIT = 80
 
 
-def factor_cover(cubes: list[CubeSet], use_kernels: bool = True) -> ex.Expr:
+def factor_cover(cubes: list[CubeSet]) -> ex.Expr:
     """Factored expression for an OR-of-cubes function."""
     cubes = _dedupe(cubes)
     if not cubes:
@@ -33,7 +33,7 @@ def factor_cover(cubes: list[CubeSet], use_kernels: bool = True) -> ex.Expr:
     if len(cubes) == 1:
         return _cube_to_expr(cubes[0])
     divisor = None
-    if use_kernels and len(cubes) <= _KERNEL_COVER_LIMIT:
+    if len(cubes) <= _KERNEL_COVER_LIMIT:
         divisor = _best_kernel(cubes)
     if divisor is None:
         divisor = _most_common_literal_divisor(cubes)
@@ -42,12 +42,10 @@ def factor_cover(cubes: list[CubeSet], use_kernels: bool = True) -> ex.Expr:
     quotient, remainder = divide(cubes, divisor)
     if not quotient:
         return ex.or_([_cube_to_expr(c) for c in cubes])
-    product = ex.and_(
-        [factor_cover(quotient, use_kernels), factor_cover(divisor, use_kernels)]
-    )
+    product = ex.and_([factor_cover(quotient), factor_cover(divisor)])
     if not remainder:
         return product
-    return ex.or_([product, factor_cover(remainder, use_kernels)])
+    return ex.or_([product, factor_cover(remainder)])
 
 
 def _dedupe(cubes: list[CubeSet]) -> list[CubeSet]:

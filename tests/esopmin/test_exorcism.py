@@ -82,48 +82,3 @@ def test_esop_beats_or_ties_fprm_on_mixed_function():
     assert esop.num_cubes <= form.num_cubes
     for m in range(16):
         assert esop.evaluate(m) == table[m]
-
-
-@given(esops(n=7, max_cubes=16))
-@settings(max_examples=120, deadline=None)
-def test_kernel_path_is_bit_identical_to_scalar(cover):
-    """The matrix-selected passes must replay the scalar scans exactly:
-    same cubes, same order — not merely the same function."""
-    from repro.expr.kernels import set_kernels_enabled
-
-    previous = set_kernels_enabled(True)
-    try:
-        with_kernels = minimize_esop(cover)
-        set_kernels_enabled(False)
-        scalar = minimize_esop(cover)
-    finally:
-        set_kernels_enabled(previous)
-    assert with_kernels.cubes == scalar.cubes
-
-
-def test_kernel_threshold_never_changes_results():
-    """Covers straddling _KERNEL_MIN_CUBES agree across the cutoff."""
-    import random
-
-    from repro.esopmin import exorcism
-    from repro.expr.kernels import set_kernels_enabled
-
-    rng = random.Random(42)
-    for _ in range(40):
-        n = rng.randrange(3, 9)
-        count = rng.randrange(0, 21)
-        cubes = []
-        for _ in range(count):
-            pos = rng.getrandbits(n)
-            neg = rng.getrandbits(n) & ~pos
-            cubes.append(Cube(n, pos, neg))
-        cover = EsopCover(n, tuple(cubes))
-        previous = set_kernels_enabled(True)
-        try:
-            fast = minimize_esop(cover)
-            set_kernels_enabled(False)
-            slow = minimize_esop(cover)
-        finally:
-            set_kernels_enabled(previous)
-        assert fast.cubes == slow.cubes, (n, count)
-    assert exorcism._KERNEL_MIN_CUBES >= 2

@@ -67,26 +67,6 @@ def test_injected_fault_is_caught_and_shrunk_to_minimal_pla():
     assert run_oracle("cube-vs-ofdd", shrunk_spec) == []
 
 
-def test_kernel_distance_skew_is_caught_by_kernels_oracle():
-    """A skewed vectorized distance matrix merges unmergeable cubes —
-    the kernel arm corrupts while the scalar arm stays correct, and the
-    differential oracle must see it."""
-    config = FuzzConfig(
-        seed=2,
-        iterations=20,
-        oracles=("kernels-vs-scalar",),
-        properties=(),
-        shrink=False,
-        max_failures=1,
-    )
-    with inject_fault("kernel-distance-skew"):
-        report = FuzzRunner(config).run()
-    assert not report.ok
-    assert report.failures[0].check == "kernels-vs-scalar"
-    # The patch is reverted: the same oracle passes again.
-    assert run_oracle("kernels-vs-scalar", _parity_spec()) == []
-
-
 def test_cache_key_collision_is_caught_by_cache_oracle():
     config = FuzzConfig(
         seed=3,
@@ -118,7 +98,6 @@ def test_fault_registry_names_are_stable():
         "drop-fprm-cube",
         "unguarded-xor-to-or",
         "cache-key-collision",
-        "kernel-distance-skew",
         "worker-crash",
         "worker-hang",
         "cache-corrupt-entry",
@@ -131,5 +110,4 @@ def test_fault_registry_names_are_stable():
         "drop-fprm-cube",
         "unguarded-xor-to-or",
         "cache-key-collision",
-        "kernel-distance-skew",
     }
