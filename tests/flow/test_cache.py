@@ -1,5 +1,7 @@
 """The content-addressed per-output result cache."""
 
+import gc
+
 import pytest
 
 from repro.circuits import get
@@ -16,6 +18,8 @@ from repro.network.blif import write_blif
 from repro.network.verify import equivalent_to_spec
 from repro.spec import CircuitSpec, OutputSpec
 from repro.truth.table import TruthTable
+
+_TIMING_ROUNDS = 5
 
 
 @pytest.fixture(autouse=True)
@@ -46,14 +50,32 @@ def test_cache_hit_returns_equivalent_network():
 
 
 def test_acceptance_cached_rerun_is_faster():
-    """Acceptance: identical second run reports hits and lower wall-time."""
+    """Acceptance: identical second run reports hits and lower wall-time.
+
+    Wall time is compared best-of-N with the garbage collector off, as
+    ``timeit`` does: a cached z4ml run takes a few milliseconds, so one
+    scheduler stall, or one collection of the whole test session's heap
+    (up to about 0.1 s in a full run), must not decide the comparison.
+    """
     spec = get("z4ml")
     options = SynthesisOptions(cache=True)
-    fresh = synthesize_fprm(spec, options)
-    cached = synthesize_fprm(spec, options)
-    assert cached.trace.cache_hits == spec.num_outputs
-    assert cached.trace.seconds < fresh.trace.seconds
-    assert cached.seconds < fresh.seconds
+    fresh_runs, cached_runs = [], []
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(_TIMING_ROUNDS):
+            get_result_cache().clear()
+            fresh_runs.append(synthesize_fprm(spec, options))
+            cached_runs.append(synthesize_fprm(spec, options))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    for cached in cached_runs:
+        assert cached.trace.cache_hits == spec.num_outputs
+    assert min(run.trace.seconds for run in cached_runs) < \
+        min(run.trace.seconds for run in fresh_runs)
+    assert min(run.seconds for run in cached_runs) < \
+        min(run.seconds for run in fresh_runs)
 
 
 def test_cached_reports_stable_across_runs():
