@@ -42,7 +42,6 @@ from repro.flow.parallel import (
 )
 from repro.flow.passes import (
     apply_polarity,
-    exprs_differ,
     resub_merge,
     run_output_pipeline,
 )
@@ -268,8 +267,7 @@ class FprmSynthesizer:
         for index, report in enumerate(reports):
             # Tag only outputs whose realized expression differs from
             # their per-output winner — the resub mix changed *them*.
-            if exprs_differ(chosen_exprs[index],
-                            variants_per_output[index][0][1]):
+            if chosen_exprs[index] != variants_per_output[index][0][1]:
                 report.method += "(resub-mix)"
 
         result = SynthesisResult(

@@ -61,8 +61,8 @@ def minimize_esop(cover: EsopCover, rounds: int = _MAX_ROUNDS) -> EsopCover:
                 # so an exhausted budget must degrade here, not in-loop.
                 budget.check("esop-minimize")
             for _ in range(rounds):
-                cubes, changed_merge = _reduce_pass(cover.n, cubes)
-                changed_link = _exorlink_pass(cover.n, cubes)
+                cubes, changed_merge = _reduce_pass(cubes)
+                changed_link = _exorlink_pass(cubes)
                 trajectory.append(len(cubes))
                 if not changed_merge and not changed_link:
                     break
@@ -113,7 +113,7 @@ def _difference_vars(a: Cube, b: Cube) -> list[int]:
     return list(bit_indices(mask))
 
 
-def _reduce_pass(n: int, cubes: list[Cube]) -> tuple[list[Cube], bool]:
+def _reduce_pass(cubes: list[Cube]) -> tuple[list[Cube], bool]:
     """Cancel d=0 pairs and merge d=1 pairs until no pair qualifies."""
     changed = False
     progress = True
@@ -145,7 +145,7 @@ def _reduce_pass(n: int, cubes: list[Cube]) -> tuple[list[Cube], bool]:
     return cubes, changed
 
 
-def _exorlink_pass(n: int, cubes: list[Cube]) -> bool:
+def _exorlink_pass(cubes: list[Cube]) -> bool:
     """Greedy exorlink-2: accept a rewrite if it enables a d≤1 reduction."""
     for i in range(len(cubes)):
         for j in range(i + 1, len(cubes)):

@@ -11,16 +11,25 @@ XOR absorbs any single complement for free (``ā⊕b = ¬(a⊕b)``).
 from __future__ import annotations
 
 from repro.expr import expression as ex
+from repro.expr.memo import ExprMemo
 
 
-def minimize_inverters(expr: ex.Expr) -> ex.Expr:
-    """Phase-optimized rewrite of ``expr`` (function preserved)."""
-    memo: dict[tuple[int, bool], tuple[ex.Expr, int]] = {}
+def minimize_inverters(expr: ex.Expr,
+                       memo: ExprMemo | None = None) -> ex.Expr:
+    """Phase-optimized rewrite of ``expr`` (function preserved).
+
+    Phase results are kept in ``memo.phase`` keyed on each node's
+    structural number, so every structure is rewritten once per memo
+    (a fresh memo when none is given).
+    """
+    if memo is None:
+        memo = ExprMemo()
     result, _cost = _phase(expr, False, memo)
     return result
 
 
-def minimize_inverters_guarded(expr: ex.Expr, width: int) -> ex.Expr:
+def minimize_inverters_guarded(expr: ex.Expr, width: int,
+                               memo: ExprMemo | None = None) -> ex.Expr:
     """:func:`minimize_inverters` with a structural-sharing guard.
 
     The phase rewrite reasons over trees; on DAG-shaped expressions a node
@@ -31,25 +40,26 @@ def minimize_inverters_guarded(expr: ex.Expr, width: int) -> ex.Expr:
     """
     from repro.network.build import strashed_cost
 
-    rewritten = minimize_inverters(expr)
+    if memo is None:
+        memo = ExprMemo()
+    rewritten = minimize_inverters(expr, memo)
     if rewritten is expr:
         return expr
-    if strashed_cost(rewritten, width) <= strashed_cost(expr, width):
+    if (strashed_cost(rewritten, width, memo)
+            <= strashed_cost(expr, width, memo)):
         return rewritten
     return expr
 
 
-def _phase(
-    expr: ex.Expr, want_inverted: bool,
-    memo: dict[tuple[int, bool], tuple[ex.Expr, int]],
-) -> tuple[ex.Expr, int]:
+def _phase(expr: ex.Expr, want_inverted: bool,
+           memo: ExprMemo) -> tuple[ex.Expr, int]:
     """(rewritten expr computing expr^want_inverted, inverter count)."""
-    key = (id(expr), want_inverted)
-    cached = memo.get(key)
+    key = (memo.number(expr), want_inverted)
+    cached = memo.phase.get(key)
     if cached is not None:
         return cached
     result = _phase_uncached(expr, want_inverted, memo)
-    memo[key] = result
+    memo.phase[key] = result
     return result
 
 

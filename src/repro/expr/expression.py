@@ -182,6 +182,47 @@ def _install_cached_hash(cls, compute):
     cls.__hash__ = cached_hash
 
 
+def _dag_equal(self, other):
+    """Structural equality, linear in the two DAGs' distinct node pairs.
+
+    The generated dataclass ``__eq__`` compares children recursively, so
+    two equal but separately built DAGs are walked as trees (exponential
+    in the sharing).  This checks identity, class and the cached hash
+    first, then walks child pairs with each ``(id, id)`` pair visited
+    once; leaves (``Const``/``Lit``) keep their generated comparison.
+    """
+    if self is other:
+        return True
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    if hash(self) != hash(other):
+        return False
+    visited: set[tuple[int, int]] = set()
+    stack = [(self, other)]
+    while stack:
+        left, right = stack.pop()
+        left_children, right_children = left.children(), right.children()
+        if len(left_children) != len(right_children):
+            return False
+        for a, b in zip(left_children, right_children):
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or hash(a) != hash(b):
+                return False
+            if isinstance(a, (Const, Lit)):
+                if a != b:
+                    return False
+                continue
+            pair = (id(a), id(b))
+            if pair not in visited:
+                visited.add(pair)
+                stack.append((a, b))
+    return True
+
+
+Not.__eq__ = _dag_equal
+_Nary.__eq__ = _dag_equal
+
 _install_cached_hash(Const, lambda s: hash((Const, s.value)))
 _install_cached_hash(Lit, lambda s: hash((Lit, s.var, s.negated)))
 _install_cached_hash(Not, lambda s: hash((Not, s.arg)))

@@ -8,6 +8,7 @@ from repro.core.options import SynthesisOptions
 from repro.core.redundancy import ReductionStats
 from repro.expr import expression as ex
 from repro.expr.esop import FprmForm
+from repro.expr.memo import ExprMemo
 from repro.flow.trace import PassRecord
 from repro.ofdd.manager import OfddManager
 from repro.spec import OutputSpec
@@ -60,6 +61,9 @@ class FlowContext:
     ``inverter-cleanup`` produces the best-first PI-space ``variants``
     and the ``report``.  ``best_gates`` tracks the smallest known
     strashed gate count so the manager can record per-pass gate deltas.
+    ``memo`` is the run's structural expression memo: the passes hand it
+    to every strashed cost, phase rewrite and polarity application, and
+    it is dropped with the context.
     """
 
     output: OutputSpec
@@ -73,6 +77,8 @@ class FlowContext:
     report: OutputReport | None = None
     best_gates: int | None = None
     records: list[PassRecord] = field(default_factory=list)
+    memo: ExprMemo = field(default_factory=ExprMemo, repr=False,
+                           compare=False)
 
     def note_gates(self, gates: int) -> None:
         """Lower the best known gate count (monotone min)."""

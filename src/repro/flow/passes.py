@@ -35,6 +35,7 @@ from repro.errors import BudgetExceededError
 from repro.expr import expression as ex
 from repro.expr.demorgan import minimize_inverters_guarded
 from repro.expr.esop import FprmForm
+from repro.expr.memo import ExprMemo
 from repro.flow.base import OutputPass, PassManager
 from repro.flow.context import FlowContext, OutputReport, ReducedCandidate
 from repro.flow.trace import PassRecord
@@ -184,7 +185,7 @@ class FactorCubePass(OutputPass):
                                              FactorMethod.AUTO):
             return {"skipped": f"method={ctx.options.factor_method.value}"}
         expr = factor_cubes(list(ctx.form.cubes))
-        gates = strashed_cost(expr, ctx.output.width)[0]
+        gates = strashed_cost(expr, ctx.output.width, ctx.memo)[0]
         ctx.candidates.append(("cube", expr))
         ctx.note_gates(gates)
         return {"gates": gates}
@@ -223,11 +224,11 @@ class FactorOfddPass(OutputPass):
                 raise  # nothing cheaper exists: direct fallback handles it
             note_degradation("factor-ofdd", "cube-method", "ofdd factoring")
             expr = factor_cubes(list(ctx.form.cubes))
-            gates = strashed_cost(expr, ctx.output.width)[0]
+            gates = strashed_cost(expr, ctx.output.width, ctx.memo)[0]
             ctx.candidates.append(("cube", expr))
             ctx.note_gates(gates)
             return {"gates": gates, "fallback": True, "degraded": True}
-        gates = strashed_cost(expr, ctx.output.width)[0]
+        gates = strashed_cost(expr, ctx.output.width, ctx.memo)[0]
         ctx.candidates.append(("ofdd", expr))
         ctx.note_gates(gates)
         return {"gates": gates, "fallback": not applies,
@@ -253,7 +254,7 @@ class FactorXorFxPass(OutputPass):
                 raise
             note_degradation("factor-xorfx", "skipped", "xor fast-extract")
             return {"skipped": "budget"}
-        gates = strashed_cost(expr, ctx.output.width)[0]
+        gates = strashed_cost(expr, ctx.output.width, ctx.memo)[0]
         ctx.candidates.append(("xor-fx", expr))
         ctx.note_gates(gates)
         return {"gates": gates}
@@ -278,7 +279,7 @@ class RedundancyRemovalPass(OutputPass):
                 # kept as-is (ladder: reduced -> unreduced).
                 note_degradation("redundancy-removal", "unreduced",
                                  f"candidate {tag}")
-                gates = strashed_cost(expr, ctx.output.width)[0]
+                gates = strashed_cost(expr, ctx.output.width, ctx.memo)[0]
                 reduced = (expr, None, gates, gates)
             ctx.reduced.append(ReducedCandidate(
                 tag=tag, expr=expr, reduced=reduced[0],
@@ -304,7 +305,7 @@ class RedundancyRemovalPass(OutputPass):
         structurally-hashed network sizes (DAG sharing counted once,
         matching how the result will be built)."""
         output, form = ctx.output, ctx.form
-        gates_before = strashed_cost(literal_expr, output.width)[0]
+        gates_before = strashed_cost(literal_expr, output.width, ctx.memo)[0]
         if form is None:
             # No explicit cube set — the paper's pattern machinery (OC/SA1
             # sets come from the cubes) has nothing to work from; this is
@@ -326,7 +327,7 @@ class RedundancyRemovalPass(OutputPass):
             tree = remover.run()
             stats = remover.stats
             literal_expr = tr.expr_from_tree(tree)
-        gates_after = strashed_cost(literal_expr, output.width)[0]
+        gates_after = strashed_cost(literal_expr, output.width, ctx.memo)[0]
         return literal_expr, stats, gates_after, gates_before
 
 
@@ -349,14 +350,17 @@ class InverterCleanupPass(OutputPass):
         method = ""
         stats: ReductionStats | None = None
         gates_after = gates_before = -1
+        memo = ctx.memo
         for rc in ctx.reduced:
             pi_reduced = minimize_inverters_guarded(
-                apply_polarity(rc.reduced, polarity), output.width
+                apply_polarity(rc.reduced, polarity, memo), output.width,
+                memo,
             )
             scored.append((rc.gates_after, rc.tag, pi_reduced))
             if rc.reduced is not rc.expr:
                 pi_unreduced = minimize_inverters_guarded(
-                    apply_polarity(rc.expr, polarity), output.width
+                    apply_polarity(rc.expr, polarity, memo), output.width,
+                    memo,
                 )
                 scored.append((rc.gates_before, f"{rc.tag}-u", pi_unreduced))
             if gates_after < 0 or rc.gates_after < gates_after:
@@ -371,7 +375,7 @@ class InverterCleanupPass(OutputPass):
                 direct_gates = expanded_gate_count(direct)
                 scored.append((
                     direct_gates, "direct",
-                    minimize_inverters_guarded(direct, output.width),
+                    minimize_inverters_guarded(direct, output.width, memo),
                 ))
                 if direct_gates < gates_after:
                     # The FPRM route lost to the input specification itself
@@ -505,7 +509,7 @@ def _direct_budget_fallback(ctx: FlowContext,
     started = time.perf_counter()
     with obs_span("budget-fallback", category="pass") as node:
         expr = minimize_inverters_guarded(
-            _last_resort_expr(ctx.output), ctx.output.width
+            _last_resort_expr(ctx.output), ctx.output.width, ctx.memo
         )
         gates = expanded_gate_count(expr)
         if node is not None:
@@ -531,15 +535,6 @@ def _direct_budget_fallback(ctx: FlowContext,
 
 
 # -- resub-merge (network-level) ---------------------------------------------
-
-
-def exprs_differ(a: ex.Expr, b: ex.Expr) -> bool:
-    """Structural inequality with identity and cached-hash fast paths."""
-    if a is b:
-        return False
-    if hash(a) != hash(b):
-        return True
-    return a != b
 
 
 def greedy_mixed_network(
@@ -722,18 +717,24 @@ def expanded_gate_count(expr: ex.Expr, memo: dict[int, int] | None = None) -> in
     return count
 
 
-def apply_polarity(expr: ex.Expr, polarity: int) -> ex.Expr:
+def apply_polarity(expr: ex.Expr, polarity: int,
+                   memo: ExprMemo | None = None) -> ex.Expr:
     """Rewrite a literal-space expression into PI space.
 
     Literal ``ℓ_i`` is ``x_i`` when bit ``i`` of ``polarity`` is set and
-    ``x̄_i`` otherwise.  Sharing is preserved via an id-memo so OFDD-derived
-    DAG-shaped expressions stay DAG-shaped.
+    ``x̄_i`` otherwise.  Results are kept in ``memo.polarity`` keyed on
+    each node's structural number (a fresh memo when none is given), so
+    shared structure — DAG-shaped OFDD expressions, sub-expressions
+    common to several variants — is rewritten once and stays shared.
     """
-    memo: dict[int, ex.Expr] = {}
+    if memo is None:
+        memo = ExprMemo()
+    table = memo.polarity
+    number = memo.number
 
     def walk(node: ex.Expr) -> ex.Expr:
-        key = id(node)
-        cached = memo.get(key)
+        key = (number(node), polarity)
+        cached = table.get(key)
         if cached is not None:
             return cached
         if isinstance(node, ex.Const):
@@ -751,7 +752,7 @@ def apply_polarity(expr: ex.Expr, polarity: int) -> ex.Expr:
                 result = ex.or_(children)
             else:
                 result = ex.xor_(children)
-        memo[key] = result
+        table[key] = result
         return result
 
     return walk(expr)

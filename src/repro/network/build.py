@@ -8,25 +8,29 @@ AND/OR/XOR operators become balanced binary trees, matching the paper's
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro.expr import expression as ex
+from repro.expr.memo import ExprMemo
 from repro.network.netlist import GateType, Network
 
 
 def add_expr(net: Network, expr: ex.Expr,
              var_map: Sequence[int] | None = None,
-             _memo: dict[int, int] | None = None) -> int:
+             _memo: dict[int, int] | None = None,
+             _key: Callable[[ex.Expr], int] = id) -> int:
     """Add ``expr`` to ``net`` and return its node.
 
     ``var_map`` translates expression variable ``j`` to primary input
     ``var_map[j]`` (identity when omitted) so specifications over a local
     support embed into the full-width network.  Shared subexpression
-    objects (OFDD-derived DAGs) are visited once via an id-memo.
+    objects (OFDD-derived DAGs) are visited once via a memo keyed by
+    ``_key`` (object identity unless a structural number is given).
     """
     if _memo is None:
         _memo = {}
-    cached = _memo.get(id(expr))
+    key = _key(expr)
+    cached = _memo.get(key)
     if cached is not None:
         return cached
     if isinstance(expr, ex.Const):
@@ -35,10 +39,11 @@ def add_expr(net: Network, expr: ex.Expr,
         pi = net.pi(var_map[expr.var] if var_map is not None else expr.var)
         result = net.add_not(pi) if expr.negated else pi
     elif isinstance(expr, ex.Not):
-        result = net.add_not(add_expr(net, expr.arg, var_map, _memo))
+        result = net.add_not(add_expr(net, expr.arg, var_map, _memo, _key))
     else:
         children = [
-            add_expr(net, child, var_map, _memo) for child in expr.children()
+            add_expr(net, child, var_map, _memo, _key)
+            for child in expr.children()
         ]
         if isinstance(expr, ex.And):
             result = net.add_and_tree(children)
@@ -50,21 +55,45 @@ def add_expr(net: Network, expr: ex.Expr,
             raise TypeError(
                 f"cannot build network node from {type(expr).__name__}"
             )
-    _memo[id(expr)] = result
+    _memo[key] = result
     return result
 
 
-def strashed_cost(expr: ex.Expr, width: int) -> tuple[int, int]:
+def strashed_cost(expr: ex.Expr, width: int,
+                  memo: ExprMemo | None = None) -> tuple[int, int]:
     """(gates, inverters) of ``expr`` built as a structurally-hashed network.
 
     Gates count as in :meth:`Network.two_input_gate_count` (AND/OR = 1,
-    XOR = 3); inverters are the live NOT nodes.
+    XOR = 3); inverters are the live NOT nodes of the cone.
+
+    Every call on one ``memo`` adds into one strashed network per width,
+    each structure once, and caches the cost of each root's cone.  The
+    hashing and folding rules of ``Network.add_*`` depend only on
+    structure, never on node ids, so that cone has the gates and
+    inverters a fresh network built from ``expr`` alone would have.
+    Without a memo the call gets a fresh one.
     """
-    net = Network(width)
-    net.set_outputs([add_expr(net, expr)])
-    types = net.types
+    if memo is None:
+        memo = ExprMemo()
+    state = memo.strash.get(width)
+    if state is None:
+        state = memo.strash[width] = (Network(width), {}, {})
+    net, nodes, costs = state
+    root = add_expr(net, expr, None, nodes, memo.number)
+    cost = costs.get(root)
+    if cost is None:
+        cost = costs[root] = _cone_cost(net, root)
+    return cost
+
+
+def _cone_cost(net: Network, root: int) -> tuple[int, int]:
+    """(gates, inverters) over the transitive fanin of ``root``."""
+    types, fanins = net.types, net.fanins
     gates = inverters = 0
-    for node in net.live_nodes():
+    seen = {root}
+    stack = [root]
+    while stack:
+        node = stack.pop()
         gate = types[node]
         if gate is GateType.AND or gate is GateType.OR:
             gates += 1
@@ -72,6 +101,10 @@ def strashed_cost(expr: ex.Expr, width: int) -> tuple[int, int]:
             gates += 3
         elif gate is GateType.NOT:
             inverters += 1
+        for child in fanins[node]:
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
     return gates, inverters
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.esopmin import esop_from_fprm, minimize_esop
 from repro.expr.cube import Cube
-from repro.expr.esop import EsopCover, FprmForm
+from repro.expr.esop import EsopCover
 
 N = 5
 

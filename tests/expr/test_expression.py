@@ -112,3 +112,50 @@ def test_xor_chain_exposes_suffixes():
 def test_format_parenthesization():
     e = ex.and_([ex.Lit(0), ex.or_([ex.Lit(1), ex.Lit(2)])])
     assert e.format() == "x0·(x1 + x2)"
+
+
+def _doubling_dag(depth, leaf=0):
+    """Each level uses the previous one twice: 2**depth paths, depth+1
+    distinct nodes."""
+    node = ex.Lit(leaf)
+    for level in range(depth):
+        node = ex.And((node, ex.Or((node, ex.Not(ex.Lit(level + 1))))))
+    return node
+
+
+def test_equality_is_linear_on_separately_built_dags():
+    import time
+
+    # Comparisons are bound to names first: on failure pytest would
+    # otherwise print the operands, and the repr of a doubling DAG is
+    # exponential.
+    first, second = _doubling_dag(40), _doubling_dag(40)
+    assert first is not second
+    started = time.perf_counter()
+    equal, unequal = first == second, first != second
+    elapsed = time.perf_counter() - started
+    assert equal and not unequal
+    assert elapsed < 0.5
+    # One changed leaf, at the bottom of every path, breaks equality.
+    changed_leaf = _doubling_dag(40) != _doubling_dag(40, leaf=7)
+    assert changed_leaf
+    negated = ex.Not(_doubling_dag(40)) == ex.Not(_doubling_dag(40))
+    assert negated
+    assert ex.And((ex.Lit(0), ex.Lit(1))) != ex.Or((ex.Lit(0), ex.Lit(1)))
+
+
+def test_equality_walk_decides_when_every_hash_collides():
+    def collide(node, seen):
+        if id(node) not in seen:
+            seen.add(id(node))
+            object.__setattr__(node, "_cached_hash", 0)
+            for child in node.children():
+                collide(child, seen)
+        return node
+
+    base = collide(_doubling_dag(40), set())
+    equal = base == collide(_doubling_dag(40), set())
+    changed_leaf = base != collide(_doubling_dag(40, leaf=7), set())
+    assert equal and changed_leaf
+    wider = collide(ex.And((ex.Lit(0), ex.Lit(1), ex.Lit(2))), set())
+    assert collide(ex.And((ex.Lit(0), ex.Lit(1))), set()) != wider

@@ -184,7 +184,7 @@ def test_exorlink_pairs_match_scalar_scan(seed, n, k):
         if len(ref_difference_vars(cubes[i], cubes[j])) == 2
     ]
     rewritten = list(cubes)
-    changed = _exorlink_pass(n, rewritten)
+    changed = _exorlink_pass(rewritten)
     moved = tuple(index for index, (old, new)
                   in enumerate(zip(cubes, rewritten)) if old != new)
     if not changed:

@@ -1,13 +1,15 @@
 """Table 2, pinned exactly: every circuit's counts at the paper's flow.
 
 ``table2_golden.json`` holds one line per Table 2 circuit: gates,
-literals and mapped literals, whether verification ran and passed, and
-four deterministic work counts derived from the run's trace.  Any
-difference fails, a decrease as well as a growth: a change that moves a
-Table 2 number is a quality change, reported on its own and re-pinned
-by hand.
+literals and mapped literals, whether verification ran and passed, four
+deterministic work counts derived from the run's trace, and the SHA-256
+of the network's BLIF text, so a change that keeps every count but
+builds different gates fails too.  Any difference fails, a decrease as
+well as a growth: a change that moves a Table 2 number is a quality
+change, reported on its own and re-pinned by hand.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from repro.circuits import all_names, get
 from repro.core.options import SynthesisOptions
 from repro.engine import SynthesisEngine
 from repro.mapping import map_network, mcnc_lite_library
+from repro.network.blif import write_blif
 
 GOLDEN = json.loads(
     Path(__file__).with_name("table2_golden.json").read_text(encoding="utf-8")
@@ -45,6 +48,8 @@ def observed(result) -> dict:
         "expr.inverter.variants": sum(
             d.get("variants", 0) for d in details("inverter-cleanup")),
         "ofdd.apply.calls": result.trace.metrics.get("ofdd.apply.calls", 0),
+        "blif_sha256": hashlib.sha256(
+            write_blif(result.network).encode()).hexdigest(),
     }
 
 
