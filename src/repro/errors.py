@@ -7,7 +7,6 @@ __all__ = [
     "LibraryError",
     "OverloadedError",
     "ParseError",
-    "QuotaExceededError",
     "ReproError",
     "TooManyVariablesError",
     "UnknownCircuitError",
@@ -74,32 +73,11 @@ class WorkerCrashError(ReproError):
         )
 
 
-class QuotaExceededError(ReproError):
-    """A client exhausted its admission quota (token bucket empty).
-
-    Raised at submission time by the serving tier's admission control
-    (:class:`repro.serve.quota.ClientQuotas`), mapped by the HTTP layer
-    to a ``429 Too Many Requests`` response carrying ``retry_after``
-    (whole seconds until the bucket has a token again) in the
-    ``Retry-After`` header.
-    """
-
-    def __init__(self, client: str, retry_after: float):
-        self.client = client
-        self.retry_after = retry_after
-        super().__init__(
-            f"quota exhausted for client {client!r}; "
-            f"retry in {retry_after:.0f}s"
-        )
-
-
 class OverloadedError(ReproError):
     """The serving tier shed this request instead of queueing it.
 
     Raised at submission time when the job queue is past its high-water
-    mark, or when the daemon is in degraded mode (disk headroom low,
-    spool writes failing) and the request's priority class is shed
-    first.  The HTTP layer maps it to ``503 Service Unavailable`` with a
+    mark.  The HTTP layer maps it to ``503 Service Unavailable`` with a
     ``Retry-After`` header — load shedding is loud and typed, never a
     silent queue that grows until the process dies.
     """

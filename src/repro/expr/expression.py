@@ -223,12 +223,16 @@ def _dag_equal(self, other):
 Not.__eq__ = _dag_equal
 _Nary.__eq__ = _dag_equal
 
-_install_cached_hash(Const, lambda s: hash((Const, s.value)))
-_install_cached_hash(Lit, lambda s: hash((Lit, s.var, s.negated)))
-_install_cached_hash(Not, lambda s: hash((Not, s.arg)))
-_install_cached_hash(And, lambda s: hash((And, s.args)))
-_install_cached_hash(Or, lambda s: hash((Or, s.args)))
-_install_cached_hash(Xor, lambda s: hash((Xor, s.args)))
+# Each class hashes a small int tag, not the class object, whose hash
+# is its address: with only ints, bools and tuples as inputs, a hash
+# cached in one interpreter (and pickled with the node) is the same in
+# every other, ``spawn`` pool workers included.
+_install_cached_hash(Const, lambda s: hash((0, s.value)))
+_install_cached_hash(Lit, lambda s: hash((1, s.var, s.negated)))
+_install_cached_hash(Not, lambda s: hash((2, s.arg)))
+_install_cached_hash(And, lambda s: hash((3, s.args)))
+_install_cached_hash(Or, lambda s: hash((4, s.args)))
+_install_cached_hash(Xor, lambda s: hash((5, s.args)))
 
 
 _PRECEDENCE = {And: 3, Xor: 2, Or: 1}

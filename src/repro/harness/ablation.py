@@ -8,12 +8,6 @@ Every run goes through the per-output result cache: ablation sweeps
 share many (circuit, options) combinations — e.g. the default options
 appear as the ``auto``/``with_rr``/``bdd`` variants of three different
 sweeps — and cached outputs are skipped instead of re-synthesized.
-
-All sweeps accept ``checkpoint``/``resume`` like the table2 driver:
-each finished (sweep, circuit) unit is written atomically to the
-checkpoint directory, and a resumed sweep loads completed units instead
-of re-running them (a unit is only reused when its stored variant set
-matches the sweep's — changing the ablation invalidates old entries).
 """
 
 from __future__ import annotations
@@ -28,7 +22,6 @@ from repro.core.options import (
 )
 from repro.engine import SynthesisEngine
 from repro.fprm.polarity import PolarityStrategy
-from repro.resilience.checkpoint import CheckpointStore
 
 DEFAULT_CIRCUITS = ["z4ml", "rd53", "rd73", "t481", "majority", "cm82a"]
 
@@ -49,113 +42,81 @@ def _run(engine: SynthesisEngine, name: str,
 
 
 def _sweep(
-    sweep: str,
     variant_options: dict[str, SynthesisOptions],
     circuits: list[str] | None,
-    checkpoint: str | None = None,
-    resume: bool = False,
     engine: SynthesisEngine | None = None,
 ) -> list[AblationRow]:
-    """Run one ablation sweep, checkpointing per circuit when asked.
+    """Run one ablation sweep.
 
     Every variant run routes through one shared
     :class:`~repro.engine.SynthesisEngine` (the caller's, else a
     process-local one) with caching forced on — ablation sweeps repeat
     many (circuit, options) combinations.
     """
-    store = CheckpointStore(checkpoint) if checkpoint is not None else None
     owned_engine: SynthesisEngine | None = None
     if engine is None:
         engine = owned_engine = SynthesisEngine()
-    reused: list[str] = []
-    computed: list[str] = []
-    rows: list[AblationRow] = []
     try:
-        for name in circuits or DEFAULT_CIRCUITS:
-            unit = f"{sweep}-{name}"
-            if store is not None and resume:
-                payload = store.load(unit)
-                saved = payload.get("variants") if payload is not None else None
-                if isinstance(saved, dict) and set(saved) == set(variant_options):
-                    rows.append(AblationRow(
-                        name, {variant: int(gates)
-                               for variant, gates in saved.items()}
-                    ))
-                    reused.append(unit)
-                    continue
-            row = AblationRow(name, {
+        return [
+            AblationRow(name, {
                 variant: _run(engine, name, options)
                 for variant, options in variant_options.items()
             })
-            rows.append(row)
-            computed.append(unit)
-            if store is not None:
-                store.save(unit, {"circuit": name, "variants": row.variants})
+            for name in circuits or DEFAULT_CIRCUITS
+        ]
     finally:
         if owned_engine is not None:
             owned_engine.close()
-    if store is not None:
-        store.record_run(resumed=resume, reused=reused, computed=computed,
-                         extra={"sweep": sweep})
-    return rows
 
 
 def ablate_redundancy_removal(
     circuits: list[str] | None = None,
-    checkpoint: str | None = None,
-    resume: bool = False,
     engine: SynthesisEngine | None = None,
 ) -> list[AblationRow]:
     """Factorization alone vs factorization + XOR redundancy removal."""
-    return _sweep("redundancy-removal", {
+    return _sweep({
         "with_rr": SynthesisOptions(),
         "without_rr": SynthesisOptions(redundancy_removal=False),
-    }, circuits, checkpoint, resume, engine)
+    }, circuits, engine)
 
 
 def ablate_factor_method(
     circuits: list[str] | None = None,
-    checkpoint: str | None = None,
-    resume: bool = False,
     engine: SynthesisEngine | None = None,
 ) -> list[AblationRow]:
     """Paper's method 1 (cubes) vs method 2 (OFDD) vs auto."""
-    return _sweep("factor-method", {
+    return _sweep({
         "cube": SynthesisOptions(factor_method=FactorMethod.CUBE),
         "ofdd": SynthesisOptions(factor_method=FactorMethod.OFDD),
         "auto": SynthesisOptions(factor_method=FactorMethod.AUTO),
-    }, circuits, checkpoint, resume, engine)
+    }, circuits, engine)
 
 
 def ablate_polarity(
     circuits: list[str] | None = None,
-    checkpoint: str | None = None,
-    resume: bool = False,
     engine: SynthesisEngine | None = None,
 ) -> list[AblationRow]:
     """All-positive vs greedy vs exhaustive polarity search."""
-    return _sweep("polarity", {
+    return _sweep({
         "positive": SynthesisOptions(
             polarity_strategy=PolarityStrategy.POSITIVE),
         "greedy": SynthesisOptions(
             polarity_strategy=PolarityStrategy.GREEDY),
         "auto": SynthesisOptions(
             polarity_strategy=PolarityStrategy.AUTO),
-    }, circuits, checkpoint, resume, engine)
+    }, circuits, engine)
 
 
 def ablate_controllability(
     circuits: list[str] | None = None,
-    checkpoint: str | None = None,
-    resume: bool = False,
     engine: SynthesisEngine | None = None,
 ) -> list[AblationRow]:
     """Exact BDD decision vs cube-union enumeration vs simulation only."""
-    return _sweep("controllability", {
+    return _sweep({
         "bdd": SynthesisOptions(
             controllability=ControllabilityEngine.BDD),
         "enumeration": SynthesisOptions(
             controllability=ControllabilityEngine.ENUMERATION),
         "simulation": SynthesisOptions(
             controllability=ControllabilityEngine.SIMULATION_ONLY),
-    }, circuits, checkpoint, resume, engine)
+    }, circuits, engine)

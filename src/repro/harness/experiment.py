@@ -31,25 +31,6 @@ class FlowMetrics:
     mapped_lits: int
     power_uw: float
 
-    def as_dict(self) -> dict:
-        return {
-            "premap_lits": self.premap_lits,
-            "seconds": self.seconds,
-            "mapped_gates": self.mapped_gates,
-            "mapped_lits": self.mapped_lits,
-            "power_uw": self.power_uw,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FlowMetrics":
-        return cls(
-            premap_lits=int(payload["premap_lits"]),
-            seconds=float(payload["seconds"]),
-            mapped_gates=int(payload["mapped_gates"]),
-            mapped_lits=int(payload["mapped_lits"]),
-            power_uw=float(payload["power_uw"]),
-        )
-
 
 @dataclass
 class CircuitComparison:
@@ -62,30 +43,6 @@ class CircuitComparison:
     baseline: FlowMetrics
     ours: FlowMetrics
     baseline_script: str
-
-    def as_dict(self) -> dict:
-        """JSON form — what a table2 checkpoint stores per circuit."""
-        return {
-            "name": self.name,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "arithmetic": self.arithmetic,
-            "baseline": self.baseline.as_dict(),
-            "ours": self.ours.as_dict(),
-            "baseline_script": self.baseline_script,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CircuitComparison":
-        return cls(
-            name=payload["name"],
-            inputs=int(payload["inputs"]),
-            outputs=int(payload["outputs"]),
-            arithmetic=bool(payload["arithmetic"]),
-            baseline=FlowMetrics.from_dict(payload["baseline"]),
-            ours=FlowMetrics.from_dict(payload["ours"]),
-            baseline_script=payload.get("baseline_script", ""),
-        )
 
     @property
     def improve_lits_pct(self) -> float:

@@ -7,17 +7,13 @@ literals, %lits and %power improvement) with the two summary rows
 (*Total arith.* and *Total all*, sums for counts and averages for the
 improvement columns — exactly the paper's convention).
 
-Long sweeps can be checkpointed: with ``checkpoint=<dir>`` every
-finished circuit is written atomically to the directory, and
-``resume=True`` loads completed circuits instead of re-running them — a
-sweep killed after circuit 17 of 25 restarts at 18.  Each invocation
-appends its resume provenance (which circuits were reused vs computed)
-to the store's ``manifest.json``.
+A killed sweep is resumed by running it again: with ``--cache-dir``
+the FPRM half of every finished circuit comes back from the disk cache.
 
 Command line::
 
     python -m repro.harness.table2 [--quick] [--circuits a,b,c] [--out F]
-                                   [--checkpoint DIR] [--resume]
+                                   [--cache-dir DIR]
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from repro.circuits import all_names
 from repro.core.options import SynthesisOptions
 from repro.engine import EngineConfig, SynthesisEngine, resolve_cache_dir
 from repro.harness.experiment import CircuitComparison, run_circuit
-from repro.resilience.checkpoint import CheckpointStore
 from repro.utils.tabulate import format_table
 
 # A fast subset exercising every circuit family, for smoke runs.
@@ -78,17 +73,10 @@ def run_table2(
     progress=None,
     jobs: int | None = None,
     cache: bool | None = None,
-    checkpoint: str | None = None,
-    resume: bool = False,
     engine: SynthesisEngine | None = None,
     cache_dir: str | None = None,
 ) -> list[CircuitComparison]:
     """Run the comparison over ``circuits`` (default: the whole suite).
-
-    With ``checkpoint`` set, every finished circuit is saved atomically
-    to that directory; ``resume=True`` additionally loads circuits that
-    already have a checkpoint instead of re-running them, and the
-    store's manifest records which was which.
 
     The whole sweep runs through one shared
     :class:`~repro.engine.SynthesisEngine` — the caller's, or one built
@@ -96,39 +84,21 @@ def run_table2(
     given, so repeated sweeps are cross-process warm).
     """
     names = circuits if circuits is not None else all_names()
-    store = CheckpointStore(checkpoint) if checkpoint is not None else None
     owned_engine: SynthesisEngine | None = None
     if engine is None:
         engine = owned_engine = SynthesisEngine(
             EngineConfig(cache_dir=cache_dir)
         )
-    reused: list[str] = []
-    computed: list[str] = []
     rows = []
     try:
         for name in names:
-            if store is not None and resume:
-                payload = store.load(name)
-                if payload is not None:
-                    rows.append(CircuitComparison.from_dict(payload))
-                    reused.append(name)
-                    if progress is not None:
-                        progress(f"{name} (resumed)")
-                    continue
             if progress is not None:
                 progress(name)
-            row = run_circuit(name, options=options, verify=verify,
-                              jobs=jobs, cache=cache, engine=engine)
-            rows.append(row)
-            computed.append(name)
-            if store is not None:
-                store.save(name, row.as_dict())
+            rows.append(run_circuit(name, options=options, verify=verify,
+                                    jobs=jobs, cache=cache, engine=engine))
     finally:
         if owned_engine is not None:
             owned_engine.close()
-    if store is not None:
-        store.record_run(resumed=resume, reused=reused, computed=computed,
-                         extra={"sweep": "table2", "circuits": list(names)})
     return rows
 
 
@@ -176,17 +146,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="skip equivalence checking (faster)")
     parser.add_argument("--out", type=str, default=None,
                         help="also write the table to this file")
-    parser.add_argument("--checkpoint", type=str, default=None,
-                        help="checkpoint finished circuits to this directory")
-    parser.add_argument("--resume", action="store_true",
-                        help="reuse completed checkpoints (requires "
-                             "--checkpoint)")
     parser.add_argument("--cache-dir", type=str, default=None,
                         help="disk-backed result cache shared across "
                              "processes (default: REPRO_CACHE_DIR)")
     args = parser.parse_args(argv)
-    if args.resume and not args.checkpoint:
-        parser.error("--resume requires --checkpoint")
     if args.circuits:
         names = args.circuits.split(",")
     elif args.quick:
@@ -197,8 +160,6 @@ def main(argv: list[str] | None = None) -> int:
         names,
         verify=not args.no_verify,
         progress=lambda name: print(f"running {name} ...", file=sys.stderr),
-        checkpoint=args.checkpoint,
-        resume=args.resume,
         cache_dir=resolve_cache_dir(args.cache_dir),
     )
     text = format_table2(rows)

@@ -251,8 +251,9 @@ class MetricsRegistry:
         line — scrapers and dashboards key the type off the metadata,
         and an instrument registered without help text still must not
         produce an untyped family.  Labeled instruments of one family
-        (e.g. the per-priority queue-wait histograms) are grouped under
-        a single HELP/TYPE header and rendered as label sets.
+        (e.g. the per-reason ``serve.degraded.reasons`` counters) are
+        grouped under a single HELP/TYPE header and rendered as label
+        sets.
         """
         def render_labels(labels: dict, extra: str = "") -> str:
             parts = [

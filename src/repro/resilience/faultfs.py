@@ -1,12 +1,12 @@
 """Deterministic filesystem fault injection for the storage stack.
 
 Every durable artifact in the system — the serve pending-request
-spool and lease files, the disk-backed result cache and its quarantine
-move, the harness checkpoint store, the structured log sink — is
-written through a handful of primitives: ``open``, ``write``,
-``fsync``, ``rename``.  This
-module wraps exactly those primitives so a test (or the disk-fault
-gauntlet, :mod:`repro.serve.gauntlet` phase C) can inject ``ENOSPC``/``EIO``/partial-write/fsync-failure faults
+spool and key-lock files, the disk-backed result cache and its
+quarantine move, the structured log sink — is written or opened
+through a handful of primitives: ``open``, ``write``, ``fsync``,
+``rename``.  This module wraps exactly those primitives so a test (or
+the disk-fault gauntlet, :mod:`repro.serve.gauntlet` phase C) can
+inject ``ENOSPC``/``EIO``/partial-write/fsync-failure faults
 *deterministically* — by call count and path pattern, not by filling a
 real disk — and assert that the storage layer degrades instead of
 corrupting state or crashing the daemon.
@@ -272,11 +272,10 @@ def fs_replace(src: str, dst: str) -> None:
 def atomic_write_text(path: str, text: str, fsync: bool = True) -> None:
     """Atomic temp+fsync+rename write through the injectable primitives.
 
-    The shared discipline of the disk cache, the checkpoint store, the
-    serve spool and lease files: a reader never sees a half-written
-    file, and a crash (or injected fault) at any point
-    leaves either the old content or the new, plus at worst a temp file
-    that the next write cleans up by name reuse.
+    The shared discipline of the disk cache and the serve spool: a
+    reader never sees a half-written file, and a crash (or injected
+    fault) at any point leaves either the old content or the new, plus
+    at worst a temp file that the next write cleans up by name reuse.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)

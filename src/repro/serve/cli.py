@@ -2,7 +2,6 @@
 
     repro-serve [--host H] [--port P] [--cache-dir DIR] [--state-dir DIR]
                 [--cache-max-mb N] [--workers N] [--jobs N] [--no-verify]
-                [--quota-rate R] [--quota-burst B] [--lease-ttl S]
                 [--max-queue-depth N] [--min-free-mb N]
 
 ``--cache-dir`` (or ``REPRO_CACHE_DIR``) attaches the disk-backed
@@ -10,15 +9,14 @@ result cache, so results survive daemon restarts and are shared with
 ``repro-synth``/harness runs pointed at the same directory.
 ``--state-dir`` (or ``REPRO_SERVE_STATE_DIR``) makes the *queue*
 durable too: accepted jobs are spooled and replayed after a crash,
-and lease files under the same directory coordinate several daemons
-sharing one cache.  ``--quota-rate``/``--quota-burst`` turn on
-per-client token-bucket admission (429 + ``Retry-After`` when a bucket
-runs dry).  ``--jobs`` sets how many pool processes one multi-output
-job may fan out to; ``--workers`` sets how many jobs run concurrently.
-``--max-queue-depth`` sheds submissions with 503 + ``Retry-After``
-past the high-water mark, and ``--min-free-mb`` flips the daemon to
-degraded mode before the state disk actually fills.  The daemon drains
-gracefully on SIGTERM/SIGINT and exits 0.
+and per-key locks under the same directory coordinate several daemons
+on one machine sharing one cache.  ``--jobs`` sets how many pool
+processes one multi-output job may fan out to; ``--workers`` sets how
+many jobs run concurrently.  ``--max-queue-depth`` sheds submissions
+with 503 + ``Retry-After`` past the high-water mark, and
+``--min-free-mb`` makes ``/healthz`` report degraded mode before the
+state disk actually fills.  The daemon drains gracefully on
+SIGTERM/SIGINT and exits 0.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import sys
 from repro.engine import EngineConfig, resolve_cache_dir, resolve_options
 from repro.flow.disk_cache import DEFAULT_MAX_BYTES
 from repro.obs.logs import LOG_FILE_ENV, configure, log_event, logging_enabled
-from repro.resilience.lease import DEFAULT_TTL_SECONDS
 from repro.serve.server import ReproServer, resolve_state_dir
 
 
@@ -48,20 +45,9 @@ def main(argv: list[str] | None = None) -> int:
                              "processes (default: REPRO_CACHE_DIR)")
     parser.add_argument("--state-dir", default=None, metavar="DIR",
                         help="durable queue state: pending-request "
-                             "spool + lease files (default: "
+                             "spool + key locks (default: "
                              "REPRO_SERVE_STATE_DIR; unset = in-memory "
                              "queue)")
-    parser.add_argument("--quota-rate", type=float, default=None,
-                        metavar="R", help="per-client admission rate in "
-                             "requests/second (unset = no quotas)")
-    parser.add_argument("--quota-burst", type=float, default=10.0,
-                        metavar="B", help="per-client token-bucket "
-                             "capacity (default 10)")
-    parser.add_argument("--lease-ttl", type=float,
-                        default=DEFAULT_TTL_SECONDS, metavar="S",
-                        help="seconds without a heartbeat before a "
-                             "peer's lease is stale (default "
-                             f"{DEFAULT_TTL_SECONDS:g})")
     parser.add_argument("--max-queue-depth", type=int, default=None,
                         metavar="N",
                         help="shed submissions with 503 + Retry-After "
@@ -69,9 +55,9 @@ def main(argv: list[str] | None = None) -> int:
                              "(unset = unbounded queue)")
     parser.add_argument("--min-free-mb", type=int, default=None,
                         metavar="N",
-                        help="flip to degraded mode (shed low "
-                             "priority) when the state dir's filesystem "
-                             "has less than N MiB free")
+                        help="report degraded mode on /healthz when "
+                             "the state dir's filesystem has less than "
+                             "N MiB free")
     parser.add_argument("--cache-max-mb", type=int,
                         default=DEFAULT_MAX_BYTES // (1024 * 1024),
                         metavar="N", help="disk cache size budget for GC")
@@ -108,9 +94,6 @@ def main(argv: list[str] | None = None) -> int:
     server = ReproServer(config, host=args.host, port=args.port,
                          workers=args.workers,
                          state_dir=state_dir,
-                         quota_rate=args.quota_rate,
-                         quota_burst=args.quota_burst,
-                         lease_ttl_seconds=args.lease_ttl,
                          max_queue_depth=args.max_queue_depth,
                          min_free_mb=args.min_free_mb)
 

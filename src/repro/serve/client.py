@@ -7,15 +7,13 @@ Used by the test suite and the CI smoke job; handy from scripts too::
     job = client.synthesize(pla_text, wait=True)
     print(job["result"]["two_input_gates"])
 
-Backpressure (429 from a drained quota bucket, 503 from overload
-shedding) surfaces as the same typed errors the server raises
-in-process — :class:`~repro.errors.QuotaExceededError` and
-:class:`~repro.errors.OverloadedError`, each carrying the server's
-``Retry-After``.  Pass ``retries=N`` to let the client absorb that
-backpressure itself: it sleeps for the server's ``Retry-After``
-(bounded by the retry policy's capped exponential backoff with
-deterministic jitter) and resubmits, raising only once the budget is
-spent.
+Backpressure (503 from overload shedding) surfaces as the same typed
+error the queue raises in-process, :class:`~repro.errors.
+OverloadedError`, carrying the server's ``Retry-After``.  Pass
+``retries=N`` to let the client absorb that backpressure itself: it
+sleeps for the server's ``Retry-After`` (bounded by the retry policy's
+capped exponential backoff with deterministic jitter) and resubmits,
+raising only once the budget is spent.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import time
 import urllib.error
 import urllib.request
 
-from repro.errors import OverloadedError, QuotaExceededError
+from repro.errors import OverloadedError
 from repro.resilience.retry import RetryPolicy
 
 __all__ = ["ServeClient"]
@@ -58,9 +56,9 @@ class ServeClient:
                     return json.loads(payload.decode("utf-8"))
                 return payload.decode("utf-8")
         except urllib.error.HTTPError as exc:
-            if exc.code in (429, 503):
+            if exc.code == 503:
                 # Surface the daemon's backpressure as the same typed
-                # errors the queue raises in-process.
+                # error the queue raises in-process.
                 retry_after = float(exc.headers.get("Retry-After") or 1.0)
                 doc = {}
                 try:
@@ -68,10 +66,6 @@ class ServeClient:
                     retry_after = float(doc.get("retry_after", retry_after))
                 except (ValueError, UnicodeDecodeError):
                     pass
-                if exc.code == 429:
-                    raise QuotaExceededError(
-                        str(doc.get("client", "unknown")), retry_after
-                    ) from exc
                 raise OverloadedError(
                     str(doc.get("reason", "overloaded")), retry_after
                 ) from exc
@@ -79,7 +73,7 @@ class ServeClient:
 
     def _request_with_backoff(self, method: str, path: str,
                               body: dict | None = None):
-        """``_request`` plus automatic retry on 429/503 backpressure.
+        """``_request`` plus automatic retry on 503 backpressure.
 
         The sleep honors the server's ``Retry-After`` but never exceeds
         the policy's ``max_delay`` — a server drowning in backlog may
@@ -90,7 +84,7 @@ class ServeClient:
         while True:
             try:
                 return self._request(method, path, body)
-            except (QuotaExceededError, OverloadedError) as exc:
+            except OverloadedError as exc:
                 if attempt >= self.retries:
                     raise
                 delay = min(
@@ -106,13 +100,10 @@ class ServeClient:
 
     def synthesize(self, pla: str, name: str = "request",
                    options: dict | None = None, wait: bool = True,
-                   priority: str | None = None,
                    client: str | None = None) -> dict:
         body: dict = {
             "pla": pla, "name": name, "options": options or {}, "wait": wait,
         }
-        if priority is not None:
-            body["priority"] = priority
         if client is not None:
             body["client"] = client
         return self._request_with_backoff("POST", "/synthesize", body)

@@ -18,9 +18,9 @@ a daemon on the same state/cache directories and assert that
 **Phase B — two daemons, one cache.**  Boot two daemons sharing one
 cache/state directory, submit the *same* fresh circuit to both, and
 assert the results are bit-identical while the combined
-``engine_requests_fresh`` across both daemons is exactly 1: the lease
-files made one daemon do the work and the other answer from the
-shared cache (``serve_lease_acquired`` confirms the leases were used).
+``engine_requests_fresh`` across both daemons is exactly 1: the key
+lock made one daemon do the work and the other answer from the shared
+cache (``serve_lease_acquired`` confirms both took the lock).
 
 **Phase C — disk faults under SIGKILL.**  Boot a daemon with a
 :mod:`repro.resilience.faultfs` plan injected via ``REPRO_FAULTFS``:
@@ -77,7 +77,6 @@ def _check(condition: bool, message: str) -> None:
 
 
 def _start_daemon(cache_dir: str, state_dir: str,
-                  lease_ttl: float = 2.0,
                   env: dict[str, str] | None = None
                   ) -> tuple[subprocess.Popen, ServeClient]:
     proc = subprocess.Popen(
@@ -85,7 +84,7 @@ def _start_daemon(cache_dir: str, state_dir: str,
          "--cache-dir", cache_dir, "--state-dir", state_dir,
          # jobs=1 keeps synthesis in-process: a SIGKILL'd daemon must
          # not leave orphaned pool workers behind in CI.
-         "--jobs", "1", "--lease-ttl", str(lease_ttl)],
+         "--jobs", "1"],
         stderr=subprocess.PIPE, text=True, env=env,
     )
     deadline = time.monotonic() + 30
@@ -169,8 +168,7 @@ def phase_a_crash_restart(circuits: list[str],
             proc, client = _start_daemon(cache_dir, state_dir)
             accepted = []
             for name in circuits:
-                doc = client.synthesize(plas[name], name=name, wait=False,
-                                        priority="low")
+                doc = client.synthesize(plas[name], name=name, wait=False)
                 _check(doc["state"] == "queued" or doc["state"] == "running",
                        f"unexpected 202 state {doc['state']!r}")
                 accepted.append(doc["key"])
@@ -229,7 +227,7 @@ def phase_b_two_daemons(circuit: str, plas: dict[str, str],
         proc_b, client_b = _start_daemon(cache_dir, state_dir)
         try:
             # Submit the same key to both daemons before either can
-            # finish: the lease decides who synthesizes.
+            # finish: the key lock decides who synthesizes.
             sub_a = client_a.synthesize(plas[circuit], name=circuit,
                                         wait=False)
             sub_b = client_b.synthesize(plas[circuit], name=circuit,
@@ -251,13 +249,13 @@ def phase_b_two_daemons(circuit: str, plas: dict[str, str],
             _check(fresh == 1.0,
                    f"expected exactly one fresh synthesis across both "
                    f"daemons, saw {fresh:g}")
-            leases = (_metric(metrics_a, "serve_lease_acquired")
-                      + _metric(metrics_b, "serve_lease_acquired"))
-            _check(leases >= 2.0,
-                   f"expected both daemons to take the lease, saw "
-                   f"{leases:g}")
+            locks = (_metric(metrics_a, "serve_lease_acquired")
+                     + _metric(metrics_b, "serve_lease_acquired"))
+            _check(locks >= 2.0,
+                   f"expected both daemons to take the key lock, saw "
+                   f"{locks:g}")
             print("gauntlet B: one synthesis, two bit-identical answers, "
-                  f"{leases:g} lease acquisitions", flush=True)
+                  f"{locks:g} key-lock acquisitions", flush=True)
         finally:
             _stop_daemon(proc_a)
             _stop_daemon(proc_b)

@@ -1,24 +1,25 @@
-"""Health-based admission: the daemon's own resource watchdog.
+"""Health monitor: the daemon's own resource watchdog, report-only.
 
 Overload shedding (:mod:`repro.serve.jobs`) protects the queue from
-*traffic*; this monitor protects it from the *machine*.  A background
-task samples three signals every couple of seconds:
+*traffic*; this monitor watches the *machine*.  A background task
+samples three signals every couple of seconds:
 
 1. **disk headroom** — free bytes on the state directory's filesystem
    (via :func:`shutil.disk_usage`, injectable for tests) against the
    configured floor;
 2. **spool write errors** — fresh failures to write or move a
-   pending-request entry since the last sample (an ``ENOSPC`` spool
-   means accepted work is no longer durable);
+   pending-request entry, or to open a key lock, since the last sample
+   (an ``ENOSPC`` spool means accepted work is no longer durable);
 3. **disk-cache breaker** — the write breaker of the engine's disk
    tier sitting open means results are not being persisted.
 
-Any firing signal flips the queue into *degraded mode*: low-priority
-submissions are shed with 503 + ``Retry-After`` (interactive traffic
-keeps flowing), and ``GET /healthz`` reports ``"status": "degraded"``
-with the reasons so an operator — or a load balancer — can see *why*
-before the disk actually runs out.  When every signal clears, the next
-sample lifts degraded mode; recovery needs no restart.
+Any firing signal puts the daemon in *degraded mode*: ``GET /healthz``
+reports ``"status": "degraded"`` with the reasons, so an operator — or
+a load balancer — can see *why* before the disk actually runs out.
+Degraded mode sheds nothing: every request keeps its answer, which the
+disk-fault gauntlet relies on while the cache breaker is open.  When
+every signal clears, the next sample lifts degraded mode; recovery
+needs no restart.
 
 The ``serve.degraded`` gauge (0/1) and per-reason
 ``serve.degraded.reasons`` counters make the transitions visible in
@@ -33,7 +34,7 @@ import shutil
 from repro.obs.logs import log_event
 from repro.obs.metrics import get_metrics_registry
 from repro.resilience.breaker import CircuitBreaker
-from repro.serve.jobs import JobQueue
+from repro.serve.spool import RequestSpool
 
 __all__ = ["DEFAULT_INTERVAL_SECONDS", "HealthMonitor"]
 
@@ -41,15 +42,16 @@ DEFAULT_INTERVAL_SECONDS = 2.0
 
 
 class HealthMonitor:
-    """Samples resource signals and drives the queue's degraded mode."""
+    """Samples resource signals and reports the daemon's degraded mode."""
 
-    def __init__(self, queue: JobQueue, *,
+    def __init__(self, *,
+                 spool: RequestSpool | None = None,
                  state_dir: str | None = None,
                  min_free_bytes: int | None = None,
                  breaker: CircuitBreaker | None = None,
                  interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
                  disk_usage=shutil.disk_usage):
-        self.queue = queue
+        self.spool = spool
         self.state_dir = state_dir
         self.min_free_bytes = min_free_bytes
         self.breaker = breaker
@@ -57,10 +59,15 @@ class HealthMonitor:
         self.disk_usage = disk_usage
         self.checks = 0
         self._spool_errors_seen = (
-            queue.spool.write_errors if queue.spool is not None else 0
+            spool.write_errors if spool is not None else 0
         )
         self._task: asyncio.Task | None = None
         self._last_reasons: tuple[str, ...] = ()
+
+    @property
+    def reasons(self) -> list[str]:
+        """The reasons the last sample found; empty means healthy."""
+        return list(self._last_reasons)
 
     # -- one sample --------------------------------------------------------
 
@@ -71,8 +78,8 @@ class HealthMonitor:
         reasons.extend(self._check_disk_headroom())
         reasons.extend(self._check_spool())
         reasons.extend(self._check_breaker())
+        registry = get_metrics_registry()
         if tuple(reasons) != self._last_reasons:
-            registry = get_metrics_registry()
             for reason in reasons:
                 if reason not in self._last_reasons:
                     registry.counter(
@@ -83,7 +90,9 @@ class HealthMonitor:
             log_event("serve.health.transition",
                       reasons=reasons, previous=list(self._last_reasons))
             self._last_reasons = tuple(reasons)
-        self.queue.set_degraded(reasons)
+        registry.gauge(
+            "serve.degraded", "1 while the daemon is in degraded mode"
+        ).set(1 if reasons else 0)
         return reasons
 
     def _check_disk_headroom(self) -> list[str]:
@@ -100,11 +109,10 @@ class HealthMonitor:
         return []
 
     def _check_spool(self) -> list[str]:
-        spool = self.queue.spool
-        if spool is None:
+        if self.spool is None:
             return []
-        fresh = spool.write_errors - self._spool_errors_seen
-        self._spool_errors_seen = spool.write_errors
+        fresh = self.spool.write_errors - self._spool_errors_seen
+        self._spool_errors_seen = self.spool.write_errors
         if fresh > 0:
             return ["journal-write-errors"]  # name kept for dashboards
         # No new failures since the last sample: writes either succeed

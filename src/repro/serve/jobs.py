@@ -1,4 +1,4 @@
-"""Job queue: dedup, priority classes, quotas, spool and leases.
+"""Job queue: dedup, one FIFO queue, overload shedding, spool and key locks.
 
 Every submission is keyed by :meth:`SynthesisEngine.request_key` — the
 ``spec digest / options fingerprint`` identity also used by the result
@@ -8,37 +8,26 @@ caller is attached to the existing job and gets the same result
 (``Job.submissions`` counts how many callers share it).  Keys equal ⇒
 results equal, so deduplication can never serve a wrong answer.
 
-On top of the PR-6 dedup queue this adds the durability/fairness tier:
+New jobs wait in one FIFO :class:`asyncio.Queue`; ``client`` is an
+attribution label for the logs, never a scheduling input.  Around it:
 
-* **priority classes** — every job carries one of
-  :data:`PRIORITY_CLASSES` (``high``/``normal``/``low``); the dequeue
-  is a binary heap ordered by (class rank, FIFO sequence), so a batch
-  client marked ``low`` can never starve interactive ``high`` traffic.
-  Queue-wait latency is recorded both overall and per class
-  (``serve.queue_wait_seconds{priority=...}``).
-* **per-client quotas** — a :class:`~repro.serve.quota.ClientQuotas`
-  token bucket is consulted *before* dedup; an empty bucket raises
-  :class:`~repro.errors.QuotaExceededError`, which the HTTP layer maps
-  to ``429`` + ``Retry-After``.
 * **spool** — when a :class:`~repro.serve.spool.RequestSpool` is
   attached, each new job's entry is written before the job is
   observable and removed once it is done (moved to ``failed/`` if it
   raised), so a SIGKILL'd daemon replays its unfinished backlog on the
   next boot.
-* **leases** — when a :class:`~repro.resilience.lease.LeaseManager` is
-  attached, a worker takes the per-key lease before synthesizing and
-  heartbeats while running; a peer daemon wanting the same key waits
-  for the lease and then (thanks to the shared disk cache) answers
-  from cache instead of duplicating the work.
+* **key locks** — with a spool attached, a worker also takes the key's
+  lock (:meth:`~repro.serve.spool.RequestSpool.try_lock`) before
+  synthesizing; a peer daemon on the same state directory wanting the
+  same key polls until the lock is free and then (thanks to the shared
+  disk cache) answers from cache instead of duplicating the work.  The
+  kernel frees a dead holder's lock, so nothing ever waits on a crash.
 * **overload shedding** — with ``max_depth`` set, a submission that
   would push the queue past its high-water mark is refused with
   :class:`~repro.errors.OverloadedError` (the HTTP layer maps it to
   ``503`` + ``Retry-After``) instead of growing the backlog without
   bound.  Dedup joins and spool replays are never shed: a join costs
-  no new work, and a replayed job was already admitted once.  In
-  *degraded mode* (set by the :class:`~repro.serve.health.
-  HealthMonitor` when disk headroom, spool writes or the cache breaker
-  go bad) low-priority submissions are shed first.
+  no new work, and a replayed job was already admitted once.
 
 All queue state is mutated on the event-loop thread only; the actual
 synthesis runs in a thread-pool executor (and, for multi-output specs,
@@ -50,7 +39,6 @@ from __future__ import annotations
 
 import asyncio
 import enum
-import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -68,26 +56,22 @@ from repro.obs.logs import log_event
 from repro.obs.metrics import get_metrics_registry
 from repro.obs.runctx import RunContext, install_run_context, new_correlation_id
 from repro.power import estimate_power
-from repro.resilience.lease import Lease, LeaseManager
-from repro.serve.quota import ClientQuotas
-from repro.serve.spool import RequestSpool
+from repro.serve.spool import KeyLock, RequestSpool
 from repro.spec import CircuitSpec
 from repro.timing import network_delay
 
 __all__ = [
     "DEFAULT_CLIENT",
-    "DEFAULT_PRIORITY",
     "Job",
     "JobQueue",
     "JobState",
-    "PRIORITY_CLASSES",
     "options_from_json",
 ]
 
-#: Priority classes in dequeue order: lower rank runs first.
-PRIORITY_CLASSES = {"high": 0, "normal": 1, "low": 2}
-DEFAULT_PRIORITY = "normal"
 DEFAULT_CLIENT = "default"
+
+#: How often a worker retries a key lock a peer daemon holds.
+_LOCK_POLL_SECONDS = 0.25
 
 #: JSON-settable synthesis knobs: name -> converter.  A whitelist, not
 #: ``getattr`` on the dataclass — the service must not expose knobs that
@@ -127,18 +111,6 @@ def options_from_json(doc: dict) -> dict:
     return overrides
 
 
-def validate_priority(priority: str | None) -> str:
-    """Normalize a request's priority field (400 material when bad)."""
-    if priority is None:
-        return DEFAULT_PRIORITY
-    if priority not in PRIORITY_CLASSES:
-        raise ValueError(
-            f"unknown priority {priority!r} "
-            f"(expected one of {sorted(PRIORITY_CLASSES)})"
-        )
-    return priority
-
-
 class JobState(str, enum.Enum):
     QUEUED = "queued"
     RUNNING = "running"
@@ -156,9 +128,8 @@ class Job:
     spec: CircuitSpec
     options: SynthesisOptions
     state: JobState = JobState.QUEUED
-    priority: str = DEFAULT_PRIORITY
     client: str = DEFAULT_CLIENT
-    #: Re-enqueued from the spool after a crash (skips quota/spool).
+    #: Re-enqueued from the spool after a crash (skips shedding/spool).
     replayed: bool = False
     submissions: int = 1
     #: One id shared by every log line this request produces — in the
@@ -182,7 +153,6 @@ class Job:
             "state": self.state.value,
             "circuit": self.circuit,
             "key": self.key,
-            "priority": self.priority,
             "client": self.client,
             "replayed": self.replayed,
             "correlation_id": self.correlation_id,
@@ -201,70 +171,25 @@ class Job:
         return doc
 
 
-class _PriorityQueue:
-    """Heap-ordered asyncio queue: (priority rank, FIFO sequence).
-
-    A small stand-in for :class:`asyncio.Queue` with the same
-    ``put_nowait``/``get``/``task_done``/``join`` surface; all calls
-    happen on the event-loop thread.
-    """
-
-    def __init__(self):
-        self._heap: list[tuple[int, int, Job]] = []
-        self._seq = itertools.count()
-        self._available = asyncio.Semaphore(0)
-        self._unfinished = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-
-    def put_nowait(self, rank: int, job: Job) -> None:
-        heapq.heappush(self._heap, (rank, next(self._seq), job))
-        self._unfinished += 1
-        self._idle.clear()
-        self._available.release()
-
-    async def get(self) -> Job:
-        await self._available.acquire()
-        return heapq.heappop(self._heap)[2]
-
-    def task_done(self) -> None:
-        self._unfinished -= 1
-        if self._unfinished <= 0:
-            self._idle.set()
-
-    async def join(self) -> None:
-        await self._idle.wait()
-
-
 class JobQueue:
     """Async job queue in front of one shared engine."""
 
     def __init__(self, engine: SynthesisEngine, workers: int = 1,
-                 quotas: ClientQuotas | None = None,
                  spool: RequestSpool | None = None,
-                 leases: LeaseManager | None = None,
-                 lease_poll_seconds: float = 0.25,
                  max_depth: int | None = None):
         if max_depth is not None and max_depth <= 0:
             raise ValueError("max_depth must be positive (or None)")
         self.engine = engine
         self.workers = max(1, workers)
-        self.quotas = quotas
         self.spool = spool
-        self.leases = leases
-        self.lease_poll_seconds = lease_poll_seconds
         self.max_depth = max_depth
-        #: Active degradation reasons (set by the health monitor); empty
-        #: means healthy.  Read by ``/healthz`` and the shed check.
-        self.degraded_reasons: list[str] = []
         self.jobs: dict[str, Job] = {}
         self.synth_calls = 0  # engine invocations (dedup leaves this flat)
         self._inflight: dict[str, Job] = {}
-        self._queue = _PriorityQueue()
+        self._queue: asyncio.Queue[Job] = asyncio.Queue()
         self._tasks: list[asyncio.Task] = []
         self._ids = itertools.count(1)
         self._registry = get_metrics_registry()
-        self._stale_seen = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -284,37 +209,13 @@ class JobQueue:
         await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks.clear()
 
-    # -- degradation and shedding ------------------------------------------
-
-    def set_degraded(self, reasons: list[str]) -> None:
-        """Enter/leave degraded mode (the health monitor calls this)."""
-        self.degraded_reasons = list(reasons)
-        self._registry.gauge(
-            "serve.degraded", "1 while the daemon is in degraded mode"
-        ).set(1 if reasons else 0)
-
     def _retry_after(self) -> float:
         """Back clients off proportionally to the backlog, 1–60 s."""
         return min(60.0, max(1.0, len(self._inflight) * 0.5))
 
-    def _shed(self, priority: str) -> str | None:
-        """Why this submission must be refused, or ``None`` to admit.
-
-        Past the high-water mark everything is shed; in degraded mode
-        low-priority traffic is shed first, so interactive requests keep
-        flowing while batch clients absorb the squeeze.
-        """
-        if self.max_depth is not None \
-                and len(self._inflight) >= self.max_depth:
-            return "queue_full"
-        if self.degraded_reasons and priority == "low":
-            return "degraded"
-        return None
-
     # -- submission --------------------------------------------------------
 
     def submit(self, spec: CircuitSpec, overrides: dict | None = None, *,
-               priority: str = DEFAULT_PRIORITY,
                client: str = DEFAULT_CLIENT,
                pla: str | None = None,
                options_doc: dict | None = None,
@@ -323,26 +224,15 @@ class JobQueue:
 
         Must be called from the event-loop thread (the HTTP handlers
         are); all dedup bookkeeping relies on that single-threadedness.
-        Raises :class:`~repro.errors.QuotaExceededError` when the
-        client's token bucket is empty (checked before dedup — joining
-        an in-flight job is admission too) and :class:`ValueError` for
-        an unknown priority class, and :class:`~repro.errors.
-        OverloadedError` when the submission is shed (queue past its
-        high-water mark, or low-priority traffic in degraded mode).
+        Raises :class:`~repro.errors.OverloadedError` when the
+        submission is shed (queue past its high-water mark).
         ``pla``/``options_doc`` carry the raw request payload into the
         spool so a crashed daemon can reconstruct the job on replay;
-        replayed re-submissions skip the quota (the tokens were spent
-        on first admission), the shed check (the work was already
-        accepted — dropping it now would break the 202 promise) and
-        the spool (their entry already exists).
+        replayed re-submissions skip the shed check (the work was
+        already accepted — dropping it now would break the 202 promise)
+        and the spool (their entry already exists).
         """
         overrides = overrides or {}
-        priority = validate_priority(priority)
-        if self.quotas is not None and not replayed:
-            self.quotas.admit(client)  # raises QuotaExceededError
-            self._registry.counter(
-                "serve.quota.allowed", "submissions that passed admission"
-            ).inc()
         key = self.engine.request_key(spec, **overrides)
         self._registry.counter(
             "serve.jobs.submitted", "job submissions received"
@@ -357,24 +247,16 @@ class JobQueue:
                       correlation_id=existing.correlation_id,
                       submissions=existing.submissions)
             return existing, True
-        if not replayed:
-            reason = self._shed(priority)
-            if reason is not None:
-                retry_after = self._retry_after()
-                self._registry.counter(
-                    "serve.shed.total", "submissions shed by overload "
-                    "or degraded-mode admission",
-                ).inc()
-                self._registry.counter(
-                    "serve.shed.total", "submissions shed by overload "
-                    "or degraded-mode admission",
-                    labels={"reason": reason, "priority": priority},
-                ).inc()
-                log_event("serve.job.shed", request_key=key,
-                          reason=reason, priority=priority, client=client,
-                          depth=len(self._inflight),
-                          retry_after=retry_after)
-                raise OverloadedError(reason, retry_after)
+        if not replayed and self.max_depth is not None \
+                and len(self._inflight) >= self.max_depth:
+            retry_after = self._retry_after()
+            self._registry.counter(
+                "serve.shed.total", "submissions shed by overload",
+            ).inc()
+            log_event("serve.job.shed", request_key=key,
+                      reason="queue_full", client=client,
+                      depth=len(self._inflight), retry_after=retry_after)
+            raise OverloadedError("queue_full", retry_after)
         job = Job(
             id=f"job-{next(self._ids)}",
             key=key,
@@ -384,7 +266,6 @@ class JobQueue:
             # GET /jobs/<id>/trace document.  (``trace`` never changes
             # the synthesized result, so dedup keys stay valid.)
             options=self.engine.resolve(**overrides).replace(trace=True),
-            priority=priority,
             client=client,
             replayed=replayed,
             correlation_id=new_correlation_id(),
@@ -397,16 +278,15 @@ class JobQueue:
                 circuit=spec.name,
                 pla=pla if pla is not None else "",
                 options=options_doc or {},
-                priority=priority,
                 client=client,
             )
         self.jobs[job.id] = job
         self._inflight[key] = job
-        self._queue.put_nowait(PRIORITY_CLASSES[priority], job)
+        self._queue.put_nowait(job)
         log_event("serve.job.submitted", job=job.id,
                   correlation_id=job.correlation_id,
                   circuit=job.circuit, request_key=job.key,
-                  priority=priority, client=client, replayed=replayed)
+                  client=client, replayed=replayed)
         self._registry.gauge(
             "serve.queue.depth", "jobs waiting or running"
         ).set(len(self._inflight))
@@ -444,48 +324,33 @@ class JobQueue:
         finally:
             install_run_context(previous)
 
-    async def _acquire_lease(self, job: Job) -> Lease | None:
-        """Take the per-key lease, waiting out a live peer if needed."""
-        assert self.leases is not None
-        lease = self.leases.try_acquire(job.key)
-        if lease is None:
+    async def _lock(self, job: Job) -> KeyLock:
+        """Take the job's key lock, polling while a peer daemon holds it.
+
+        The metric names predate the lock (it replaced lease files);
+        dashboards and the gauntlet read them.
+        """
+        assert self.spool is not None
+        lock = self.spool.try_lock(job.key)
+        if lock is None:
             self._registry.counter(
                 "serve.lease.waits",
-                "jobs that waited for a peer daemon's lease",
+                "jobs that waited for a peer daemon's key lock",
             ).inc()
             log_event("serve.lease.wait", job=job.id, request_key=job.key)
-            while lease is None:
-                await asyncio.sleep(self.lease_poll_seconds)
-                lease = self.leases.try_acquire(job.key)
+            while lock is None:
+                await asyncio.sleep(_LOCK_POLL_SECONDS)
+                lock = self.spool.try_lock(job.key)
         self._registry.counter(
-            "serve.lease.acquired", "per-key leases taken before running"
+            "serve.lease.acquired", "key locks taken before running"
         ).inc()
-        self._registry.counter(
-            "serve.lease.stale_takeovers",
-            "stale leases taken over from crashed holders",
-        ).inc(self.leases.stale_takeovers - self._stale_seen)
-        self._stale_seen = self.leases.stale_takeovers
-        return lease
-
-    async def _heartbeat(self, lease: Lease) -> None:
-        """Refresh the lease stamp while the job runs (cancelled after)."""
-        assert self.leases is not None
-        interval = max(0.05, self.leases.ttl_seconds / 3.0)
-        while True:
-            await asyncio.sleep(interval)
-            if not self.leases.heartbeat(lease):
-                log_event("serve.lease.lost", request_key=lease.key)
-                return
+        return lock
 
     async def _worker(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
             job = await self._queue.get()
-            lease = None
-            heartbeat: asyncio.Task | None = None
-            if self.leases is not None:
-                lease = await self._acquire_lease(job)
-                heartbeat = loop.create_task(self._heartbeat(lease))
+            lock = await self._lock(job) if self.spool is not None else None
             job.state = JobState.RUNNING
             job.started_unix = time.time()
             try:
@@ -517,13 +382,10 @@ class JobQueue:
                     "serve.jobs.failed", "jobs that raised"
                 ).inc()
             finally:
-                if heartbeat is not None:
-                    heartbeat.cancel()
-                if lease is not None and self.leases is not None:
-                    self.leases.release(lease)
+                if lock is not None:
+                    self.spool.unlock(lock)
                 job.finished_unix = time.time()
                 latency = job.finished_unix - job.submitted_unix
-                queue_wait = job.started_unix - job.submitted_unix
                 self._registry.histogram(
                     "serve.request_seconds",
                     "submit-to-finish latency per request",
@@ -531,12 +393,7 @@ class JobQueue:
                 self._registry.histogram(
                     "serve.queue_wait_seconds",
                     "submit-to-start wait per request",
-                ).observe(queue_wait)
-                self._registry.histogram(
-                    "serve.queue_wait_seconds",
-                    "submit-to-start wait per request",
-                    labels={"priority": job.priority},
-                ).observe(queue_wait)
+                ).observe(job.started_unix - job.submitted_unix)
                 log_event(
                     "serve.job.finished", job=job.id,
                     correlation_id=job.correlation_id,

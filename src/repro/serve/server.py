@@ -6,32 +6,32 @@ the container bakes in only the standard library.  Endpoints:
 
 ==========================  =============================================
 ``POST /synthesize``        submit a PLA (JSON body: ``pla``, optional
-                            ``name``/``options``/``wait``/``priority``/
-                            ``client``); 200 with the finished job when
-                            ``wait`` is true, else 202 with the job id
-                            and request key.  Identical in-flight
-                            requests join the same job (``deduplicated``
-                            in the response); an exhausted client quota
-                            is a 429 and a shed submission (queue past
-                            its high-water mark, or low priority while
-                            degraded) is a 503, both with a
-                            ``Retry-After`` header.
+                            ``name``/``options``/``wait``/``client``;
+                            other keys are ignored); 200 with the
+                            finished job when ``wait`` is true, else 202
+                            with the job id and request key.  Identical
+                            in-flight requests join the same job
+                            (``deduplicated`` in the response); a
+                            submission past the queue's high-water mark
+                            is shed with 503 and a ``Retry-After``
+                            header.
 ``GET /jobs``               summaries of every job this process has seen
 ``GET /jobs/<id>``          full job document, run manifest included
 ``GET /jobs/<id>/trace``    the request's span tree (full FlowTrace
                             document; 404 until the job is done)
 ``GET /metrics``            the process metrics registry in Prometheus
                             text exposition format
-``GET /healthz``            liveness + job-state counts + durability info
+``GET /healthz``            liveness, job-state counts, durability info
+                            and the health monitor's degraded reasons
 ==========================  =============================================
 
 With a state directory configured the daemon is *durable*: every
 submission is spooled before its 202 goes out, and on boot the spool
 is replayed — jobs a previous (possibly SIGKILL'd) daemon never
 finished are re-enqueued and complete bit-identically via the shared
-result cache.  Lease files under the same directory let several daemons
-share one cache and state directory without duplicating in-flight
-synthesis.
+result cache.  Per-key locks under the same directory let several
+daemons on one machine share one cache and state directory without
+duplicating in-flight synthesis.
 
 SIGTERM/SIGINT trigger a graceful drain: the listener closes (new
 connections are refused by the OS), queued and running jobs finish,
@@ -47,31 +47,22 @@ import os
 import signal
 
 from repro.engine import EngineConfig, SynthesisEngine
-from repro.errors import OverloadedError, QuotaExceededError
+from repro.errors import OverloadedError
 from repro.network.to_expr import spec_from_pla_text
 from repro.obs.logs import log_event
 from repro.obs.metrics import get_metrics_registry
-from repro.resilience.lease import DEFAULT_TTL_SECONDS, LeaseManager
 from repro.serve.health import HealthMonitor
-from repro.serve.jobs import (
-    DEFAULT_CLIENT,
-    DEFAULT_PRIORITY,
-    JobQueue,
-    options_from_json,
-)
-from repro.serve.quota import ClientQuotas
+from repro.serve.jobs import DEFAULT_CLIENT, JobQueue, options_from_json
 from repro.serve.spool import RequestSpool
 
 __all__ = ["ReproServer", "resolve_state_dir"]
 
 _MAX_BODY = 8 * 1024 * 1024  # a PLA bigger than 8 MiB is not a request
 
-#: Environment default for the serve state directory (spool + leases);
-#: like ``REPRO_CACHE_DIR``, set once per machine and every daemon on it
-#: shares one durable queue.
+#: Environment default for the serve state directory (spool + key
+#: locks); like ``REPRO_CACHE_DIR``, set once per machine and every
+#: daemon on it shares one durable queue.
 STATE_DIR_ENV = "REPRO_SERVE_STATE_DIR"
-
-LEASE_DIRNAME = "leases"
 
 
 def resolve_state_dir(explicit: str | None = None) -> str | None:
@@ -92,30 +83,18 @@ class ReproServer:
                  host: str = "127.0.0.1", port: int = 8348,
                  workers: int = 1,
                  state_dir: str | None = None,
-                 quota_rate: float | None = None,
-                 quota_burst: float = 10.0,
-                 lease_ttl_seconds: float = DEFAULT_TTL_SECONDS,
                  max_queue_depth: int | None = None,
                  min_free_mb: int | None = None):
         self.engine = SynthesisEngine(config)
         self.state_dir = resolve_state_dir(state_dir)
-        spool = leases = None
+        spool = None
         if self.state_dir is not None:
             os.makedirs(self.state_dir, exist_ok=True)
             spool = RequestSpool(self.state_dir)
-            leases = LeaseManager(
-                os.path.join(self.state_dir, LEASE_DIRNAME),
-                ttl_seconds=lease_ttl_seconds,
-            )
-        quotas = (
-            ClientQuotas(rate=quota_rate, burst=quota_burst)
-            if quota_rate is not None else None
-        )
-        self.queue = JobQueue(self.engine, workers=workers,
-                              quotas=quotas, spool=spool, leases=leases,
+        self.queue = JobQueue(self.engine, workers=workers, spool=spool,
                               max_depth=max_queue_depth)
         self.health = HealthMonitor(
-            self.queue,
+            spool=spool,
             state_dir=self.state_dir,
             min_free_bytes=(min_free_mb * 1024 * 1024
                             if min_free_mb else None),
@@ -163,11 +142,7 @@ class ReproServer:
                 spec = spec_from_pla_text(entry["pla"], name=entry["circuit"])
                 job, _ = self.queue.submit(
                     spec, options_from_json(entry["options"]),
-                    priority=entry["priority"]
-                    if entry["priority"] in ("high", "normal", "low")
-                    else DEFAULT_PRIORITY,
-                    client=entry["client"],
-                    replayed=True,
+                    client=entry["client"], replayed=True,
                 )
             except Exception as exc:  # noqa: BLE001 — a poisoned spool
                 # entry must not take the whole boot down with it.
@@ -184,7 +159,7 @@ class ReproServer:
                 # every future boot replays it again.
                 spool.add(request_key=job.key, circuit=entry["circuit"],
                           pla=entry["pla"], options=entry["options"],
-                          priority=job.priority, client=entry["client"])
+                          client=entry["client"])
                 spool.remove(key)
             self.replayed += 1
             registry.counter(
@@ -192,7 +167,7 @@ class ReproServer:
                 "unfinished spool entries re-enqueued on boot",
             ).inc()
             log_event("serve.journal.replayed", request_key=key,
-                      circuit=entry["circuit"], priority=entry["priority"])
+                      circuit=entry["circuit"])
 
     async def serve_forever(self, install_signals: bool = True) -> None:
         """Run until SIGTERM/SIGINT, then drain and return."""
@@ -240,8 +215,7 @@ class ReproServer:
                 payload = json.dumps(body).encode("utf-8")
                 ctype = "application/json"
             reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                      404: "Not Found", 429: "Too Many Requests",
-                      500: "Internal Server Error",
+                      404: "Not Found", 500: "Internal Server Error",
                       503: "Service Unavailable"}
             extra = "".join(
                 f"{name}: {value}\r\n" for name, value in headers.items()
@@ -315,7 +289,7 @@ class ReproServer:
         if method == "GET" and path == "/metrics":
             return 200, get_metrics_registry().to_prometheus_text()
         if method == "GET" and path == "/healthz":
-            reasons = list(self.queue.degraded_reasons)
+            reasons = self.health.reasons
             return 200, {
                 "status": "degraded" if reasons else "ok",
                 "degraded": bool(reasons),
@@ -345,39 +319,18 @@ class ReproServer:
             overrides = options_from_json(options_doc)
         except ValueError as exc:
             raise _BadRequest(str(exc)) from exc
-        priority = doc.get("priority")
-        if priority is not None and priority not in ("high", "normal", "low"):
-            raise _BadRequest(
-                f"unknown priority {priority!r} "
-                "(expected one of ['high', 'low', 'normal'])"
-            )
         client = str(doc.get("client") or DEFAULT_CLIENT)
 
         try:
             job, deduplicated = self.queue.submit(
                 spec, overrides,
-                priority=priority or DEFAULT_PRIORITY,
                 client=client,
                 pla=str(doc["pla"]),
                 options_doc=options_doc,
             )
-        except QuotaExceededError as exc:
-            get_metrics_registry().counter(
-                "serve.quota.rejections",
-                "submissions rejected by a client's token bucket",
-            ).inc()
-            log_event("serve.quota.rejected", client=exc.client,
-                      retry_after=exc.retry_after)
-            retry_after = max(1, int(exc.retry_after))
-            return (
-                429,
-                {"error": str(exc), "client": exc.client,
-                 "retry_after": retry_after},
-                {"Retry-After": str(retry_after)},
-            )
         except OverloadedError as exc:
-            # Shed, not queued: the backlog (or a degraded disk) means
-            # accepting this job would make every other job slower.
+            # Shed, not queued: the backlog means accepting this job
+            # would make every other job slower.
             retry_after = max(1, int(exc.retry_after))
             return (
                 503,
@@ -394,6 +347,5 @@ class ReproServer:
             "id": job.id,
             "key": job.key,
             "state": job.state.value,
-            "priority": job.priority,
             "deduplicated": deduplicated,
         }

@@ -1,23 +1,37 @@
-"""Pending-request spool: one file per accepted, unfinished job.
+"""The serve state directory: pending-request spool and per-key locks.
 
 Results live in the content-addressed disk cache, so a durable
-``repro-serve`` keeps only its backlog under ``--state-dir``::
+``repro-serve`` keeps only its backlog and its key locks under
+``--state-dir``::
 
     pending/<key>.json   written before the 202, removed when done
     failed/<key>.json    entry + error: the job raised or cannot replay
+    locks/<key>.lock     flock(2)-held while a worker synthesizes the key
 
 ``<key>`` is the request key with ``/`` flattened.  An entry holds what
-rebuilds the job (PLA, circuit, JSON options, priority, client, submit
-time) and is written atomically without fsync, which survives SIGKILL.
-Re-adding a key overwrites its entry.  OS errors are absorbed into
-``write_errors`` for the health monitor.  The ``journal.jsonl`` of
-older releases is not read: drain such a daemon with SIGTERM first.
+rebuilds the job (PLA, circuit, JSON options, client, submit time) and
+is written atomically without fsync, which survives SIGKILL.  Re-adding
+a key overwrites its entry.  Schema-1 entries also carry a ``priority``
+that replay ignores; a schema-1 daemon leaves schema-2 entries in place.
+OS errors are absorbed into ``write_errors`` for the health monitor.
+The ``journal.jsonl`` of older releases is not read: drain such a
+daemon with SIGTERM first.
+
+A key lock is an exclusive ``flock`` on the key's lock file, so daemons
+sharing one state directory on one machine never synthesize a key twice
+at once.  The kernel drops the lock when its holder's process dies, even
+by SIGKILL, and forked children (pool workers) close their copies of
+held locks, so an orphaned child cannot keep one.  The holder unlinks
+the file before it unlocks, so a waiter that then locks the old inode
+sees it no longer matches the path and retries on the new file.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
+import threading
 import time
 from typing import NamedTuple
 
@@ -25,14 +39,20 @@ from repro.obs.logs import log_event
 from repro.obs.metrics import get_metrics_registry
 from repro.resilience import faultfs
 
-__all__ = ["SPOOL_SCHEMA_VERSION", "ReplayReport", "RequestSpool"]
+__all__ = ["SPOOL_SCHEMA_VERSION", "KeyLock", "ReplayReport", "RequestSpool"]
 
-SPOOL_SCHEMA_VERSION = 1
+SPOOL_SCHEMA_VERSION = 2
+
+#: Descriptors of the key locks this process holds.  A forked child
+#: (a pool worker) closes its copies at once: a copy keeps the lock held,
+#: so a worker orphaned by a SIGKILLed daemon would keep its keys locked.
+#: The guard keeps a fork out of the gap between open and registration.
+_held_fds: set[int] = set()
+_held_guard = threading.Lock()
 
 #: Entry fields replay needs, with their JSON types.
 _FIELDS = (("request_key", str), ("circuit", str), ("pla", str),
-           ("options", dict), ("priority", str), ("client", str),
-           ("ts", (int, float)))
+           ("options", dict), ("client", str), ("ts", (int, float)))
 
 
 class ReplayReport(NamedTuple):
@@ -46,27 +66,40 @@ class ReplayReport(NamedTuple):
     failed: int
 
 
+class KeyLock(NamedTuple):
+    """A taken key lock (see :meth:`RequestSpool.try_lock`)."""
+
+    path: str
+    #: The descriptor holding the ``flock``; ``None`` when the lock file
+    #: could not be opened and the job runs without exclusion.
+    fd: int | None
+
+
 class RequestSpool:
-    """Add, remove, fail and replay the entries under one state dir."""
+    """Spool entries and key locks under one state dir."""
 
     def __init__(self, state_dir: str, clock=time.time):
         self.pending_dir = os.path.join(state_dir, "pending")
         self.failed_dir = os.path.join(state_dir, "failed")
+        self.lock_dir = os.path.join(state_dir, "locks")
         self.clock = clock
-        #: Writes/moves lost to OS faults: accepted but not durable.
+        #: Writes/moves (accepted but not durable) and lock opens (run
+        #: without exclusion) lost to OS faults.
         self.write_errors = 0
 
     def path_for(self, key: str) -> str:
-        safe = key.replace("/", "-").replace(os.sep, "-")
-        return os.path.join(self.pending_dir, f"{safe}.json")
+        return os.path.join(self.pending_dir, f"{_flatten(key)}.json")
+
+    def lock_path(self, key: str) -> str:
+        return os.path.join(self.lock_dir, f"{_flatten(key)}.lock")
 
     def add(self, *, request_key: str, circuit: str, pla: str,
-            options: dict, priority: str, client: str) -> None:
+            options: dict, client: str) -> None:
         """Spool a new submission; called *before* its 202 goes out."""
         self._write(self.path_for(request_key), {
             "schema": SPOOL_SCHEMA_VERSION, "request_key": request_key,
             "circuit": circuit, "pla": pla, "options": options,
-            "priority": priority, "client": client, "ts": self.clock(),
+            "client": client, "ts": self.clock(),
         })
 
     def remove(self, request_key: str) -> None:
@@ -89,6 +122,48 @@ class RequestSpool:
                       encoding="utf-8") as handle:
                 records.append(json.load(handle))
         return records
+
+    def try_lock(self, key: str) -> KeyLock | None:
+        """One non-blocking try at ``key``'s lock; ``None`` while another
+        open file description holds it.
+
+        When the lock file cannot be opened, even after recreating
+        ``locks/``, the error counts in ``write_errors`` and the lock
+        comes back unheld: the job runs without exclusion, which at
+        worst repeats work the content-addressed cache keeps harmless.
+        """
+        path = self.lock_path(key)
+        while True:
+            try:
+                with _held_guard:
+                    fd = self._open_lock(path)
+                    _held_fds.add(fd)
+            except OSError as exc:
+                self._absorb(exc)
+                return KeyLock(path, None)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                _held_fds.discard(fd)
+                faultfs.fs_close(fd)
+                return None
+            if _same_inode(fd, path):
+                return KeyLock(path, fd)
+            _release(fd)  # a holder unlinked this inode; lock the new one
+
+    def unlock(self, lock: KeyLock) -> None:
+        """Unlink a held lock's file, then release it."""
+        if lock.fd is not None:
+            self._unlink(lock.path)
+            _release(lock.fd)
+
+    def _open_lock(self, path: str) -> int:
+        flags = os.O_RDWR | os.O_CREAT
+        try:
+            return faultfs.fs_open(path, flags)
+        except FileNotFoundError:  # first use, or the directory vanished
+            os.makedirs(self.lock_dir, exist_ok=True)
+            return faultfs.fs_open(path, flags)
 
     def replay(self) -> ReplayReport:
         """Pending entries oldest first.  Unparsable entries move to
@@ -156,9 +231,45 @@ class RequestSpool:
         # The name predates the spool; dashboards and the gauntlet read it.
         get_metrics_registry().counter(
             "journal.write.errors",
-            "spool writes and moves lost to OS-level faults",
+            "spool writes and moves, and lock opens, lost to OS-level "
+            "faults",
         ).inc()
         log_event("serve.spool.write_error", error=str(exc))
+
+
+def _flatten(key: str) -> str:
+    return key.replace("/", "-").replace(os.sep, "-")
+
+
+def _same_inode(fd: int, path: str) -> bool:
+    try:
+        return os.fstat(fd).st_ino == os.stat(path).st_ino
+    except OSError:
+        return False
+
+
+def _release(fd: int) -> None:
+    # An explicit LOCK_UN, not just close: a child forked by native code,
+    # which skips the at-fork hook below, would keep a copy of the
+    # descriptor and with it the lock.
+    fcntl.flock(fd, fcntl.LOCK_UN)
+    _held_fds.discard(fd)
+    faultfs.fs_close(fd)
+
+
+def _close_held_fds_in_child() -> None:
+    for fd in _held_fds:
+        try:
+            os.close(fd)
+        except OSError:
+            pass
+    _held_fds.clear()
+    _held_guard.release()
+
+
+os.register_at_fork(before=_held_guard.acquire,
+                    after_in_parent=_held_guard.release,
+                    after_in_child=_close_held_fds_in_child)
 
 
 def _listdir(directory: str) -> list[str]:

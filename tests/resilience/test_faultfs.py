@@ -196,24 +196,24 @@ def test_atomic_write_text_fault_preserves_old_content(tmp_path):
 
 
 def test_rules_reach_lease_writes(tmp_path):
-    from repro.resilience.lease import LeaseManager
+    from repro.serve.spool import RequestSpool
 
-    now = [1000.0]
-    mgr = LeaseManager(str(tmp_path / "leases"), ttl_seconds=10.0,
-                       clock=lambda: now[0])
-    lease = mgr.try_acquire("k")
-    stamp = mgr.read_stamp("k")
-    now[0] += 5.0
-    faultfs.install(parse_plan("replace:eio:path=leases:count=1"))
-    # The heartbeat's rename hits the fault: the lease reports lost, the
-    # old stamp stays, and no temp file is left behind.
-    assert mgr.heartbeat(lease) is False
-    assert mgr.read_stamp("k") == stamp
-    assert os.listdir(mgr.directory) == [os.path.basename(lease.path)]
-    # A torn first write of a fresh lease is absorbed and counted.
-    faultfs.install(parse_plan("write:partial:path=leases:count=1"))
-    assert mgr.try_acquire("k2") is not None
-    assert mgr.errors == 1
+    spool = RequestSpool(str(tmp_path / "state"))
+    registry = get_metrics_registry()
+    injected = registry.counter("faultfs.injected", "").value
+    faultfs.install(parse_plan("open:eio:path=locks"))
+    # The lock file cannot be opened: the job runs without exclusion
+    # and the failure is counted, not raised.
+    lock = spool.try_lock("k")
+    assert lock is not None and lock.fd is None
+    assert spool.write_errors == 1
+    assert registry.counter("faultfs.injected", "").value == injected + 1
+    spool.unlock(lock)  # no-op
+    faultfs.clear()
+    lock = spool.try_lock("k")
+    assert lock.fd is not None
+    spool.unlock(lock)
+    assert spool.write_errors == 1
 
 
 def test_rules_reach_the_log_sink(tmp_path, monkeypatch):

@@ -1,212 +1,194 @@
-"""Lease files: acquire/heartbeat/release and stale-holder takeover."""
+"""Per-key locks: the ``flock`` that replaced heartbeat lease files.
 
-import json
+The lock lives with the rest of the state-dir layout in
+:mod:`repro.serve.spool`; the serve metrics still call it a lease
+(``serve.lease.acquired``/``serve.lease.waits``).
+"""
+
+import fcntl
 import os
+import shutil
+import signal
+import subprocess
+import sys
 
 import pytest
 
-from repro.resilience.lease import DEFAULT_TTL_SECONDS, Lease, LeaseManager
-
-
-class FakeClock:
-    def __init__(self, now: float = 1000.0):
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
+import repro
+from repro.obs.metrics import get_metrics_registry
+from repro.serve.spool import KeyLock, RequestSpool
 
 
 @pytest.fixture()
-def clock():
-    return FakeClock()
+def spool(tmp_path):
+    return RequestSpool(str(tmp_path / "state"))
 
 
-def manager(tmp_path, clock, ttl: float = 10.0, name: str = "leases"):
-    return LeaseManager(str(tmp_path / name), ttl_seconds=ttl, clock=clock)
+def holder_process(spool, code: str) -> subprocess.Popen:
+    """A child interpreter that takes key ``k``'s lock, then runs ``code``."""
+    return subprocess.Popen(
+        [sys.executable, "-c",
+         "import os, sys, time\n"
+         "from repro.serve.spool import RequestSpool\n"
+         "lock = RequestSpool(sys.argv[1]).try_lock('k')\n" + code,
+         os.path.dirname(spool.pending_dir)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        env={**os.environ,
+             "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__))},
+    )
 
 
-# -- basic lifecycle ---------------------------------------------------------
+def test_acquire_release_roundtrip(spool):
+    lock = spool.try_lock("spec/opts")
+    assert isinstance(lock, KeyLock) and lock.fd is not None
+    assert os.path.exists(lock.path)
+    spool.unlock(lock)
+    assert not os.path.exists(lock.path)
+    again = spool.try_lock("spec/opts")
+    assert again is not None and again.fd is not None
+    spool.unlock(again)
 
 
-def test_acquire_release_roundtrip(tmp_path, clock):
-    mgr = manager(tmp_path, clock)
-    lease = mgr.try_acquire("spec/opts")
-    assert lease is not None
-    assert os.path.exists(lease.path)
-    stamp = mgr.read_stamp("spec/opts")
-    assert stamp["token"] == lease.token
-    assert stamp["pid"] == os.getpid()
-    mgr.release(lease)
-    assert not os.path.exists(lease.path)
-    # Idempotent: releasing again is a no-op, not an error.
-    mgr.release(lease)
+def test_live_holder_blocks_second_acquire(tmp_path):
+    # Two spools on one directory, as two daemons would have; flock
+    # excludes per open file, so one process is enough to show it.
+    first = RequestSpool(str(tmp_path / "state"))
+    second = RequestSpool(str(tmp_path / "state"))
+    lock = first.try_lock("k")
+    assert lock is not None
+    assert second.try_lock("k") is None
+    assert first.try_lock("k") is None
+    first.unlock(lock)
+    taken = second.try_lock("k")
+    assert taken is not None and taken.fd is not None
+    second.unlock(taken)
 
 
-def test_live_holder_blocks_second_acquire(tmp_path, clock):
-    mgr_a = manager(tmp_path, clock)
-    mgr_b = manager(tmp_path, clock)
-    lease = mgr_a.try_acquire("k")
-    assert lease is not None
-    assert mgr_b.try_acquire("k") is None
-    mgr_a.release(lease)
-    assert mgr_b.try_acquire("k") is not None
+def test_keys_are_independent(spool):
+    a = spool.try_lock("a/1")
+    b = spool.try_lock("b/2")
+    assert a is not None and b is not None
+    assert a.path != b.path
+    spool.unlock(a)
+    spool.unlock(b)
 
 
-def test_keys_are_independent(tmp_path, clock):
-    mgr = manager(tmp_path, clock)
-    assert mgr.try_acquire("a/1") is not None
-    assert mgr.try_acquire("b/2") is not None
-
-
-def test_key_slashes_flattened_to_one_file(tmp_path, clock):
-    mgr = manager(tmp_path, clock)
-    path = mgr.path_for("digest/fingerprint")
+def test_key_slashes_flattened_to_one_file(spool):
+    path = spool.lock_path("digest/fingerprint")
     assert os.sep not in os.path.basename(path)
-    assert path.endswith(".lease.json")
+    assert os.path.dirname(path) == spool.lock_dir
+    assert path.endswith(".lock")
 
 
-def test_ttl_must_be_positive(tmp_path):
-    with pytest.raises(ValueError, match="positive"):
-        LeaseManager(str(tmp_path), ttl_seconds=0)
+def test_sigkilled_holder_frees_the_key_at_once(spool):
+    holder = holder_process(
+        spool,
+        "print('held' if lock and lock.fd is not None else 'busy',"
+        " flush=True)\n"
+        "sys.stdin.read()\n")
+    try:
+        assert holder.stdout.readline().strip() == "held"
+        assert spool.try_lock("k") is None
+        holder.send_signal(signal.SIGKILL)
+        assert holder.wait(timeout=30) == -signal.SIGKILL
+        # No sleep, no clock: the kernel released the dead holder's
+        # lock when it closed its files, and its lock file is reused.
+        lock = spool.try_lock("k")
+        assert lock is not None and lock.fd is not None
+        spool.unlock(lock)
+    finally:
+        if holder.poll() is None:
+            holder.kill()
+            holder.wait(timeout=30)
+        holder.stdin.close()
+        holder.stdout.close()
 
 
-def test_default_ttl_is_sane():
-    assert DEFAULT_TTL_SECONDS > 0
+def test_fork_of_a_killed_holder_does_not_keep_the_key(spool):
+    """A pool worker forked while its daemon held a key, and orphaned
+    when the daemon was SIGKILLed, must not keep the key locked."""
+    holder = holder_process(
+        spool,
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    time.sleep(60)\n"
+        "    os._exit(0)\n"
+        "print(pid, flush=True)\n"
+        "sys.stdin.read()\n")
+    orphan = None
+    try:
+        orphan = int(holder.stdout.readline())
+        assert spool.try_lock("k") is None
+        holder.send_signal(signal.SIGKILL)
+        assert holder.wait(timeout=30) == -signal.SIGKILL
+        os.kill(orphan, 0)  # the forked worker outlives its daemon
+        lock = spool.try_lock("k")
+        assert lock is not None and lock.fd is not None
+        spool.unlock(lock)
+    finally:
+        if holder.poll() is None:
+            holder.kill()
+            holder.wait(timeout=30)
+        if orphan is not None:
+            os.kill(orphan, signal.SIGKILL)
+        holder.stdin.close()
+        holder.stdout.close()
 
 
-# -- staleness and takeover --------------------------------------------------
+def test_lock_on_an_unlinked_inode_is_retried(spool, monkeypatch):
+    real_open = spool._open_lock
+    peer = []
+
+    def open_then_race(path):
+        fd = real_open(path)
+        if not peer:
+            # Between this open and the flock, the old holder unlinks
+            # the file and unlocks, and a peer locks a new file at the
+            # same path.
+            os.unlink(path)
+            peer.append(os.open(path, os.O_RDWR | os.O_CREAT))
+            fcntl.flock(peer[0], fcntl.LOCK_EX)
+        return fd
+
+    monkeypatch.setattr(spool, "_open_lock", open_then_race)
+    # The flock on the unlinked inode succeeds, but that inode is no
+    # longer the key's lock: the peer holds the key.
+    assert spool.try_lock("k") is None
+    fcntl.flock(peer[0], fcntl.LOCK_UN)
+    os.close(peer[0])
+    lock = spool.try_lock("k")
+    assert lock is not None and lock.fd is not None
+    assert os.fstat(lock.fd).st_ino == os.stat(lock.path).st_ino
+    spool.unlock(lock)
 
 
-def test_stale_lease_taken_over(tmp_path, clock):
-    mgr_a = manager(tmp_path, clock)
-    mgr_b = manager(tmp_path, clock)
-    assert mgr_a.try_acquire("k") is not None
-    # The holder "crashes": no heartbeats while the clock runs past TTL.
-    clock.advance(10.0 + 1.0)
-    lease_b = mgr_b.try_acquire("k")
-    assert lease_b is not None
-    assert mgr_b.stale_takeovers == 1
-    assert mgr_b.read_stamp("k")["token"] == lease_b.token
+def test_acquire_recreates_vanished_directory(spool):
+    first = spool.try_lock("a")
+    shutil.rmtree(spool.lock_dir)
+    # Acquisition self-heals: the directory comes back and the lock is
+    # a real, held file again.
+    lock = spool.try_lock("b")
+    assert lock is not None and lock.fd is not None
+    assert os.path.exists(lock.path)
+    spool.unlock(first)  # its file is gone already: no error
+    spool.unlock(lock)
+    assert spool.write_errors == 0
 
 
-def test_heartbeat_keeps_lease_fresh(tmp_path, clock):
-    mgr_a = manager(tmp_path, clock)
-    mgr_b = manager(tmp_path, clock)
-    lease = mgr_a.try_acquire("k")
-    for _ in range(5):
-        clock.advance(8.0)  # inside TTL each step, far past it in total
-        assert mgr_a.heartbeat(lease) is True
-        assert mgr_b.try_acquire("k") is None
-    assert mgr_b.stale_takeovers == 0
-
-
-def test_heartbeat_reports_lost_lease(tmp_path, clock):
-    mgr_a = manager(tmp_path, clock)
-    mgr_b = manager(tmp_path, clock)
-    lease_a = mgr_a.try_acquire("k")
-    clock.advance(11.0)
-    assert mgr_b.try_acquire("k") is not None  # takeover
-    assert mgr_a.heartbeat(lease_a) is False
-    # And release by the old holder must not clobber the new one.
-    mgr_a.release(lease_a)
-    assert mgr_b.read_stamp("k") is not None
-
-
-def test_torn_stamp_is_stale(tmp_path, clock):
-    mgr = manager(tmp_path, clock)
-    path = mgr.path_for("k")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write('{"schema": 1, "key": "k", "heartbeat_un')
-    assert mgr.read_stamp("k") is None
-    assert mgr.is_stale(mgr.read_stamp("k"))
-    lease = mgr.try_acquire("k")
-    assert lease is not None
-    assert mgr.stale_takeovers == 1
-
-
-def test_stamp_missing_heartbeat_is_stale(tmp_path, clock):
-    mgr = manager(tmp_path, clock)
-    path = mgr.path_for("k")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"schema": 1, "key": "k", "token": "x"}, handle)
-    assert mgr.is_stale(mgr.read_stamp("k"))
-    assert mgr.try_acquire("k") is not None
-
-
-def test_is_stale_boundary(tmp_path, clock):
-    mgr = manager(tmp_path, clock, ttl=10.0)
-    lease = mgr.try_acquire("k")
-    assert lease is not None
-    stamp = mgr.read_stamp("k")
-    clock.advance(10.0)
-    assert not mgr.is_stale(stamp)  # exactly TTL: still live
-    clock.advance(0.5)
-    assert mgr.is_stale(stamp)
-
-
-def test_lease_dataclass_fields(tmp_path, clock):
-    mgr = manager(tmp_path, clock)
-    lease = mgr.try_acquire("k")
-    assert isinstance(lease, Lease)
-    assert lease.key == "k"
-    assert lease.acquired_unix == clock.now
-    assert lease.token.startswith(f"{os.getpid()}-")
-
-
-# -- the state directory disappears mid-run ----------------------------------
-
-
-def test_heartbeat_and_release_survive_vanished_state_dir(tmp_path, clock):
-    import shutil
-
-    mgr = manager(tmp_path, clock)
-    lease = mgr.try_acquire("k")
-    assert lease is not None
-    shutil.rmtree(mgr.directory)
-    # The holder notices the loss but nothing raises: the worker task
-    # keeps running and the next heartbeat tick just reports lost.
-    assert mgr.heartbeat(lease) is False
-    mgr.release(lease)  # no-op, no exception
-    assert not os.path.exists(lease.path)
-
-
-def test_acquire_recreates_vanished_directory(tmp_path, clock):
-    import shutil
-
-    mgr = manager(tmp_path, clock)
-    first = mgr.try_acquire("a")
-    assert first is not None
-    shutil.rmtree(mgr.directory)
-    # Acquisition self-heals: the directory comes back and the lease is
-    # a real, backed file again.
-    lease = mgr.try_acquire("b")
-    assert lease is not None
-    assert os.path.exists(lease.path)
-    assert mgr.heartbeat(lease) is True
-    assert mgr.errors == 0
-
-
-def test_unrecreatable_directory_degrades_to_unbacked_lease(tmp_path, clock):
-    import shutil
-
-    parent = tmp_path / "state"
-    parent.mkdir()
-    mgr = LeaseManager(str(parent / "leases"), ttl_seconds=10.0, clock=clock)
-    # The whole state tree is replaced by a *file*: makedirs cannot
-    # bring the lease directory back.
-    shutil.rmtree(parent)
-    parent.write_text("not a directory any more")
-    lease = mgr.try_acquire("k")
-    # Work proceeds without mutual exclusion rather than crashing or
-    # spinning: the lease is unbacked, the failure is counted, and the
-    # heartbeat/release protocol stays callable.
-    assert lease is not None
-    assert not os.path.exists(lease.path)
-    assert mgr.errors == 1
-    assert mgr.heartbeat(lease) is False
-    mgr.release(lease)  # no-op
-    assert mgr.try_acquire("k2") is not None
-    assert mgr.errors == 2
+def test_unrecreatable_directory_degrades_to_unbacked_lease(tmp_path):
+    state = tmp_path / "state"
+    spool = RequestSpool(str(state))
+    # The whole state tree is a *file*: makedirs cannot bring the lock
+    # directory back.
+    state.write_text("not a directory any more")
+    errors = get_metrics_registry().counter("journal.write.errors", "")
+    before = errors.value
+    lock = spool.try_lock("k")
+    # The job runs without exclusion rather than crashing or spinning,
+    # and the failure is counted where the health monitor looks.
+    assert lock is not None and lock.fd is None
+    assert spool.write_errors == 1
+    assert errors.value == before + 1
+    spool.unlock(lock)  # no-op
+    assert spool.try_lock("k2").fd is None
+    assert spool.write_errors == 2

@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro.circuits import get
-from repro.errors import OverloadedError, QuotaExceededError
+from repro.errors import OverloadedError
 from repro.expr.pla import pla_from_spec, write_pla
 from repro.resilience.retry import RetryPolicy
 from repro.serve.client import ServeClient
@@ -41,7 +41,7 @@ def test_default_client_does_not_retry():
 def test_retries_absorb_backpressure_then_succeed():
     client, sleeps, calls = flaky_client(3, [
         OverloadedError("queue_full", 2.0),
-        QuotaExceededError("ci", 1.0),
+        OverloadedError("queue_full", 1.0),
     ])
     doc = client._request_with_backoff("POST", "/synthesize", {})
     assert doc == {"state": "done"}
@@ -55,7 +55,7 @@ def test_retries_absorb_backpressure_then_succeed():
 
 def test_raises_after_retry_budget_spent():
     client, sleeps, calls = flaky_client(
-        2, [OverloadedError("degraded", 1.0)] * 5)
+        2, [OverloadedError("queue_full", 1.0)] * 5)
     with pytest.raises(OverloadedError):
         client._request_with_backoff("POST", "/synthesize", {})
     assert len(calls) == 3  # initial attempt + 2 retries
@@ -93,15 +93,16 @@ def test_non_backpressure_errors_are_not_retried():
     assert len(calls) == 1
 
 
-def test_http_round_trip_retries_through_degraded_window():
-    """End to end: a 503-shedding daemon, then recovery, one client."""
+def test_http_round_trip_retries_through_full_queue():
+    """End to end: a 503-shedding daemon, then room, one client."""
     pla = write_pla(pla_from_spec(get("rd53")))
 
     async def driver():
-        server = ReproServer(port=0)
+        server = ReproServer(port=0, max_queue_depth=1)
         await server.start()
-        await server.health.stop()  # keep our forced state stable
-        server.queue.set_degraded(["low-disk:1mb-free"])
+        # A held in-flight entry fills the queue until the client's
+        # backoff sleep frees it.
+        server.queue._inflight["held/key"] = object()
         loop = asyncio.get_running_loop()
 
         def scenario():
@@ -110,12 +111,10 @@ def test_http_round_trip_retries_through_degraded_window():
                                  retry_policy=RetryPolicy(
                                      max_retries=2, base_delay=0.01,
                                      max_delay=0.05))
-            # First attempt is shed with a real HTTP 503; the disk
-            # "recovers" before the retry fires.
-            client._sleep = lambda _:  \
-                server.queue.set_degraded([])
-            doc = client.synthesize(pla, name="rd53", wait=True,
-                                    priority="low")
+            # First attempt is shed with a real HTTP 503; the queue has
+            # room again before the retry fires.
+            client._sleep = lambda _: server.queue._inflight.pop("held/key")
+            doc = client.synthesize(pla, name="rd53", wait=True)
             assert doc["state"] == "done"
             assert client.backoff_retries == 1
             return True

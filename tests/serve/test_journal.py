@@ -21,9 +21,9 @@ def journal(tmp_path):
 
 
 def queue_job(journal, key="k1", circuit="rd53", pla=".i 1\n.o 1\n",
-              options=None, priority="normal", client="default"):
+              options=None, client="default"):
     journal.add(request_key=key, circuit=circuit, pla=pla,
-                options=options or {}, priority=priority, client=client)
+                options=options or {}, client=client)
 
 
 def pending_keys(report):
@@ -34,8 +34,7 @@ def pending_keys(report):
 
 
 def test_roundtrip_queued_is_pending(journal):
-    queue_job(journal, key="a/1", options={"verify": True},
-              priority="high", client="ci")
+    queue_job(journal, key="a/1", options={"verify": True}, client="ci")
     report = journal.replay()
     assert len(report.pending) == 1
     job = report.pending[0]
@@ -43,7 +42,6 @@ def test_roundtrip_queued_is_pending(journal):
     assert job["circuit"] == "rd53"
     assert job["pla"] == ".i 1\n.o 1\n"
     assert job["options"] == {"verify": True}
-    assert job["priority"] == "high"
     assert job["client"] == "ci"
     assert report.failed == 0
 
@@ -116,8 +114,7 @@ def test_malformed_records_counted_not_fatal(journal):
     queue_job(journal, key="a/1")
     malformed = {
         "bad-pla": {"schema": 1, "request_key": "bad", "pla": 7,
-                    "circuit": "x", "options": {}, "priority": "normal",
-                    "client": "c", "ts": 1},
+                    "circuit": "x", "options": {}, "client": "c", "ts": 1},
         "no-key": {"schema": 1, "circuit": "x"},
         "bad-schema": {"schema": "one", "request_key": "a/1"},
         "not-a-dict": [1, 2],

@@ -63,9 +63,9 @@ def test_boot_replays_unfinished_jobs(tmp_path):
     # finished — only the first two are unfinished business, and the
     # finished one has no entry left.
     spool.add(request_key="a", circuit="rd53", pla=pla_text("rd53"),
-              options={}, priority="high", client="ci")
+              options={}, client="ci")
     spool.add(request_key="b", circuit="z4ml", pla=pla_text("z4ml"),
-              options={}, priority="normal", client="ci")
+              options={}, client="east")
 
     replayed, jobs = boot_and_wait(state_dir, expect_done=2)
     assert replayed == 2
@@ -75,7 +75,7 @@ def test_boot_replays_unfinished_jobs(tmp_path):
         assert job["replayed"] is True
         assert job["state"] == "done"
         assert job["result"]["blif"]
-    assert by_circuit["rd53"]["priority"] == "high"
+    assert by_circuit["z4ml"]["client"] == "east"
     # The finished jobs' entries were removed, so a second boot has
     # nothing left to replay.
     replayed_again, _ = boot_and_wait(state_dir, expect_done=0)
@@ -87,11 +87,11 @@ def test_poisoned_journal_entry_does_not_block_boot(tmp_path):
     os.makedirs(state_dir)
     spool = RequestSpool(state_dir)
     spool.add(request_key="good", circuit="rd53", pla=pla_text("rd53"),
-              options={}, priority="normal", client="ci")
+              options={}, client="ci")
     # A well-formed entry whose PLA is garbage: the re-enqueue must
     # fail for this entry only.
     spool.add(request_key="poison", circuit="bad", pla="not a pla at all",
-              options={}, priority="normal", client="ci")
+              options={}, client="ci")
 
     before = get_metrics_registry().counter(
         "serve.journal.replay_errors", "test probe").value

@@ -118,6 +118,47 @@ def test_async_submit_then_poll():
     assert health["jobs"]["done"] == 1
 
 
+def test_priority_field_is_ignored_like_any_unknown_field():
+    # Bodies written for releases with priority classes still work;
+    # the job runs in plain FIFO order and nothing echoes a priority.
+    pla = pla_text("rd53")
+
+    def scenario(client, server):
+        accepted = client._request("POST", "/synthesize", {
+            "pla": pla, "name": "rd53", "priority": "urgent",
+            "client": "batch"})
+        return accepted, client.wait_job(accepted["id"])
+
+    accepted, done = run_with_server(scenario)
+    assert "priority" not in accepted
+    assert done["state"] == "done"
+    assert done["client"] == "batch"
+    assert "priority" not in done
+
+
+def test_queue_runs_jobs_in_submission_order():
+    from repro.engine import SynthesisEngine
+    from repro.serve.jobs import JobQueue
+
+    async def scenario():
+        engine = SynthesisEngine()
+        queue = JobQueue(engine, workers=1)
+        jobs = [queue.submit(get(name), client=client)[0]
+                for name, client in (("rd53", "batch"), ("z4ml", "ui"),
+                                     ("radd", "batch"))]
+        queue.start()  # only now can anything run
+        await asyncio.wait_for(
+            asyncio.gather(*(job.done.wait() for job in jobs)), 60)
+        await queue.drain()
+        engine.close()
+        return jobs
+
+    jobs = asyncio.run(scenario())
+    assert [job.state.value for job in jobs] == ["done"] * 3
+    starts = [job.started_unix for job in jobs]
+    assert starts == sorted(starts)
+
+
 def test_metrics_endpoint_exposes_serve_counters():
     pla = pla_text("rd53")
 

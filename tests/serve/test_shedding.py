@@ -1,4 +1,4 @@
-"""Overload shedding and health-based admission (degraded mode)."""
+"""Overload shedding, and the health monitor's report-only degraded mode."""
 
 import asyncio
 import json
@@ -14,6 +14,7 @@ from repro.errors import OverloadedError
 from repro.expr.pla import pla_from_spec, write_pla
 from repro.obs.metrics import get_metrics_registry
 from repro.resilience.breaker import CircuitBreaker
+from repro.serve.client import ServeClient
 from repro.serve.health import HealthMonitor
 from repro.serve.jobs import JobQueue
 from repro.serve.server import ReproServer
@@ -52,10 +53,6 @@ def test_submission_past_high_water_is_shed(engine):
     assert info.value.reason == "queue_full"
     assert 1.0 <= info.value.retry_after <= 60.0
     assert registry.counter("serve.shed.total", "").value == before + 1
-    labeled = registry.counter(
-        "serve.shed.total", "",
-        labels={"reason": "queue_full", "priority": "normal"})
-    assert labeled.value >= 1
     assert queue.depth() == 2  # the shed request joined nothing
 
 
@@ -79,24 +76,15 @@ def test_replayed_submission_is_never_shed(engine):
     assert job.replayed
 
 
-def test_degraded_mode_sheds_low_priority_only(engine):
-    queue = JobQueue(engine)
-    queue.set_degraded(["low-disk:3mb-free"])
-    with pytest.raises(OverloadedError) as info:
-        queue.submit(get("rd53"), priority="low")
-    assert info.value.reason == "degraded"
-    queue.submit(get("z4ml"), priority="normal")
-    queue.submit(get("radd"), priority="high")
-    queue.set_degraded([])
-    queue.submit(get("rd53"), priority="low")  # healthy again
-
-
-def test_degraded_gauge_tracks_mode(engine):
-    queue = JobQueue(engine)
+def test_degraded_gauge_tracks_mode():
+    breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=1000.0)
+    monitor = HealthMonitor(breaker=breaker)
     gauge = get_metrics_registry().gauge("serve.degraded", "")
-    queue.set_degraded(["journal-write-errors"])
+    breaker.record_failure()
+    monitor.check()
     assert gauge.value == 1
-    queue.set_degraded([])
+    breaker.record_success()
+    monitor.check()
     assert gauge.value == 0
 
 
@@ -114,40 +102,36 @@ def test_retry_after_scales_with_backlog(engine):
 # -- the health monitor -------------------------------------------------------
 
 
-def test_low_disk_flips_degraded_and_recovers(engine, tmp_path):
-    queue = JobQueue(engine)
-    monitor = HealthMonitor(queue, state_dir=str(tmp_path),
+def test_low_disk_flips_degraded_and_recovers(tmp_path):
+    monitor = HealthMonitor(state_dir=str(tmp_path),
                             min_free_bytes=100 * 1024 * 1024,
                             disk_usage=_usage(7 * 1024 * 1024))
     assert monitor.check() == ["low-disk:7mb-free"]
-    assert queue.degraded_reasons == ["low-disk:7mb-free"]
+    assert monitor.reasons == ["low-disk:7mb-free"]
     monitor.disk_usage = _usage(500 * 1024 * 1024)
     assert monitor.check() == []
-    assert queue.degraded_reasons == []
+    assert monitor.reasons == []
 
 
-def test_vanished_state_dir_is_its_own_reason(engine, tmp_path):
+def test_vanished_state_dir_is_its_own_reason(tmp_path):
     def explode(path):
         raise OSError(2, "No such file or directory", path)
 
-    queue = JobQueue(engine)
-    monitor = HealthMonitor(queue, state_dir=str(tmp_path / "gone"),
+    monitor = HealthMonitor(state_dir=str(tmp_path / "gone"),
                             min_free_bytes=1, disk_usage=explode)
     assert monitor.check() == ["state-dir-missing"]
 
 
-def test_no_floor_means_no_disk_check(engine, tmp_path):
-    queue = JobQueue(engine)
-    monitor = HealthMonitor(queue, state_dir=str(tmp_path),
+def test_no_floor_means_no_disk_check(tmp_path):
+    monitor = HealthMonitor(state_dir=str(tmp_path),
                             min_free_bytes=None,
                             disk_usage=_usage(0))
     assert monitor.check() == []
 
 
-def test_fresh_journal_write_errors_degrade_then_clear(engine, tmp_path):
+def test_fresh_journal_write_errors_degrade_then_clear(tmp_path):
     spool = RequestSpool(str(tmp_path / "state"))
-    queue = JobQueue(engine, spool=spool)
-    monitor = HealthMonitor(queue)
+    monitor = HealthMonitor(spool=spool)
     assert monitor.check() == []
     spool.write_errors += 1  # a spool write failed since the last sample
     assert monitor.check() == ["journal-write-errors"]
@@ -157,10 +141,9 @@ def test_fresh_journal_write_errors_degrade_then_clear(engine, tmp_path):
     assert monitor.check() == ["journal-write-errors"]
 
 
-def test_open_cache_breaker_degrades_until_it_closes(engine):
+def test_open_cache_breaker_degrades_until_it_closes():
     breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=1000.0)
-    queue = JobQueue(engine)
-    monitor = HealthMonitor(queue, breaker=breaker)
+    monitor = HealthMonitor(breaker=breaker)
     assert monitor.check() == []
     breaker.record_failure()
     assert monitor.check() == ["cache-breaker-open"]
@@ -168,9 +151,8 @@ def test_open_cache_breaker_degrades_until_it_closes(engine):
     assert monitor.check() == []
 
 
-def test_reason_counter_counts_transitions_not_samples(engine, tmp_path):
-    queue = JobQueue(engine)
-    monitor = HealthMonitor(queue, state_dir=str(tmp_path),
+def test_reason_counter_counts_transitions_not_samples(tmp_path):
+    monitor = HealthMonitor(state_dir=str(tmp_path),
                             min_free_bytes=100 * 1024 * 1024,
                             disk_usage=_usage(1024 * 1024))
     counter = get_metrics_registry().counter(
@@ -183,17 +165,16 @@ def test_reason_counter_counts_transitions_not_samples(engine, tmp_path):
     assert counter.value == before + 1
 
 
-def test_monitor_runs_as_background_task(engine, tmp_path):
+def test_monitor_runs_as_background_task(tmp_path):
     async def scenario():
-        queue = JobQueue(engine)
-        monitor = HealthMonitor(queue, state_dir=str(tmp_path),
+        monitor = HealthMonitor(state_dir=str(tmp_path),
                                 min_free_bytes=100 * 1024 * 1024,
                                 disk_usage=_usage(1024),
                                 interval_seconds=0.01)
         monitor.start()
         await asyncio.sleep(0.05)
         await monitor.stop()
-        return monitor.checks, queue.degraded_reasons
+        return monitor.checks, monitor.reasons
 
     checks, reasons = asyncio.run(scenario())
     assert checks >= 2
@@ -207,16 +188,15 @@ def test_http_shed_is_503_with_retry_after():
     pla = write_pla(pla_from_spec(get("rd53")))
 
     async def driver():
-        server = ReproServer(port=0, max_queue_depth=8)
+        server = ReproServer(port=0, max_queue_depth=1)
         await server.start()
-        # Force degraded mode deterministically: park the monitor (its
-        # next healthy sample would lift the flag) and set it by hand.
-        await server.health.stop()
-        server.queue.set_degraded(["low-disk:2mb-free"])
+        # Fill the queue deterministically: one in-flight entry that no
+        # worker will ever finish.
+        server.queue._inflight["held/key"] = object()
         loop = asyncio.get_running_loop()
 
         def scenario():
-            body = json.dumps({"pla": pla, "priority": "low"})
+            body = json.dumps({"pla": pla})
             request = urllib.request.Request(
                 f"http://127.0.0.1:{server.port}/synthesize",
                 data=body.encode("utf-8"),
@@ -230,16 +210,39 @@ def test_http_shed_is_503_with_retry_after():
                 assert exc.code == 503
                 assert int(exc.headers["Retry-After"]) >= 1
                 doc = json.loads(exc.read().decode("utf-8"))
-                assert doc["reason"] == "degraded"
+                assert doc["reason"] == "queue_full"
                 assert doc["retry_after"] >= 1
+            return True
 
-            # /healthz names the reasons while degraded.
-            with urllib.request.urlopen(
-                    f"http://127.0.0.1:{server.port}/healthz",
-                    timeout=10) as resp:
-                health = json.loads(resp.read().decode("utf-8"))
+        try:
+            return await loop.run_in_executor(None, scenario)
+        finally:
+            server.queue._inflight.pop("held/key")
+            await server.stop()
+
+    assert asyncio.run(driver())
+
+
+def test_healthz_reports_degraded_reasons_and_still_serves(tmp_path):
+    pla = write_pla(pla_from_spec(get("rd53")))
+
+    async def driver():
+        # A free-space floor no disk meets: the monitor's first sample
+        # reports low disk.
+        server = ReproServer(port=0, state_dir=str(tmp_path / "state"),
+                             min_free_mb=1 << 40)
+        await server.start()
+        loop = asyncio.get_running_loop()
+        client = ServeClient(f"http://127.0.0.1:{server.port}")
+
+        def scenario():
+            health = client.health()
             assert health["status"] == "degraded"
-            assert health["reasons"] == ["low-disk:2mb-free"]
+            assert health["degraded"] is True
+            [reason] = health["reasons"]
+            assert reason.startswith("low-disk:")
+            doc = client.synthesize(pla, name="rd53", wait=True)
+            assert doc["state"] == "done"
             return True
 
         try:

@@ -32,9 +32,9 @@ def no_fault_plan():
 
 
 def add(spool, key="k1", circuit="rd53", pla=".i 1\n.o 1\n", options=None,
-        priority="normal", client="default"):
+        client="default"):
     spool.add(request_key=key, circuit=circuit, pla=pla,
-              options=options or {}, priority=priority, client=client)
+              options=options or {}, client=client)
 
 
 def write_raw(spool, name, text):
@@ -45,16 +45,16 @@ def write_raw(spool, name, text):
 
 
 def test_add_remove_fail_roundtrip(spool):
-    add(spool, key="a/1", options={"verify": True}, priority="high",
-        client="ci")
+    add(spool, key="a/1", options={"verify": True}, client="ci")
     add(spool, key="b/2")
     report = spool.replay()
     assert [entry["request_key"] for entry in report.pending] \
         == ["a/1", "b/2"]
     entry = report.pending[0]
-    assert (entry["circuit"], entry["options"], entry["priority"],
-            entry["client"]) == ("rd53", {"verify": True}, "high", "ci")
+    assert (entry["circuit"], entry["options"], entry["client"]) \
+        == ("rd53", {"verify": True}, "ci")
     assert entry["schema"] == SPOOL_SCHEMA_VERSION
+    assert "priority" not in entry
 
     spool.remove("a/1")
     spool.remove("a/1")  # a missing entry is fine
@@ -84,6 +84,19 @@ def test_replay_is_oldest_first_and_readd_overwrites(spool):
     assert spool.pending_keys() == ["a/1", "b/2", "c/3"]
 
 
+def test_schema_1_entry_with_priority_still_replays(spool):
+    # The format of releases with priority classes: schema 1 and a
+    # ``priority`` field, which replay now ignores.
+    write_raw(spool, "old-1.json", json.dumps(
+        {"schema": 1, "request_key": "old/1", "circuit": "rd53",
+         "pla": ".i 1\n.o 1\n", "options": {}, "priority": "low",
+         "client": "ci", "ts": 5.0}))
+    report = spool.replay()
+    assert report.failed == 0 and report.skipped_schema == 0
+    [entry] = report.pending
+    assert (entry["request_key"], entry["client"]) == ("old/1", "ci")
+
+
 def test_newer_schema_entry_is_skipped_and_kept(spool):
     add(spool, key="a/1")
     future = {"schema": SPOOL_SCHEMA_VERSION + 1, "request_key": "z/9",
@@ -103,7 +116,7 @@ def test_unparsable_entry_moves_to_failed(spool):
     write_raw(spool, "torn.json", '{"schema": 1, "request_ke')
     write_raw(spool, "no-pla.json", json.dumps(
         {"schema": 1, "request_key": "x/1", "circuit": "c", "pla": 7,
-         "options": {}, "priority": "normal", "client": "c", "ts": 1.0}))
+         "options": {}, "client": "c", "ts": 1.0}))
     write_raw(spool, "bad-schema.json", json.dumps(
         {"schema": "one", "request_key": "x/2"}))
     report = spool.replay()
