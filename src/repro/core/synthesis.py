@@ -11,16 +11,21 @@ Since the pass-pipeline refactor the actual stages live in
 :mod:`repro.flow` as named passes (``derive-fprm``, ``factor-cube``,
 ``factor-ofdd``, ``factor-xorfx``, ``redundancy-removal``,
 ``inverter-cleanup``, ``resub-merge``); this module is the driver that
-threads outputs through the default pipeline — serially, across a
-process pool (``options.jobs``), or out of the per-output result cache
-(``options.cache``) — and assembles the :class:`SynthesisResult`.
+threads outputs through the default pipeline and assembles the
+:class:`SynthesisResult`.  Each output has one runner,
+:func:`~repro.flow.passes.run_output`, which the driver calls in its
+own process or which pool workers call for it (``options.jobs``).  The
+driver is the only client of the per-output result cache
+(``options.cache``): it looks every output up before any runner starts
+and stores every fresh full-effort result after.
 
 Observability: when ``options.trace`` is on the driver installs a
 :class:`~repro.obs.spans.SpanTracer` for the duration of the run; every
 pass, every per-output pipeline, the pool map, the resub merge and the
-verification run inside spans, and deep layers (OFDD apply statistics,
-espresso/exorcism iterations, fault simulation, mapping) attach their
-own.  The :class:`~repro.flow.trace.FlowTrace` on the result is a view
+verification run inside spans, and the pass spans are the only per-pass
+clock.  Deep layers (OFDD apply statistics, espresso/exorcism
+iterations, fault simulation, mapping) attach their own.  The
+:class:`~repro.flow.trace.FlowTrace` on the result is a view
 over that span tree, and a :class:`~repro.obs.manifest.RunManifest`
 (input digest, options fingerprint, package/python/platform) is attached
 to every result — traced or not — so runs can be compared safely.
@@ -35,16 +40,8 @@ from repro.core.options import SynthesisOptions
 from repro.errors import VerificationError
 from repro.flow.cache import cache_key, get_result_cache
 from repro.flow.context import OutputReport, OutputRun
-from repro.flow.parallel import (
-    SHIPPED_COUNTERS,
-    resolve_jobs,
-    run_outputs_in_pool,
-)
-from repro.flow.passes import (
-    apply_polarity,
-    resub_merge,
-    run_output_pipeline,
-)
+from repro.flow.parallel import resolve_jobs, run_outputs_in_pool
+from repro.flow.passes import apply_polarity, resub_merge, run_output
 from repro.flow.trace import FlowTrace
 from repro.network.netlist import Network
 from repro.network.verify import VerifyResult, equivalent_to_spec
@@ -79,10 +76,10 @@ class SynthesisResult:
     trace: FlowTrace | None = None
     manifest: RunManifest | None = None
     #: How many outputs were answered by the result cache (memory or
-    #: disk tier, parent or pool worker).  ``cached_outputs`` equal to
-    #: the output count means the run computed nothing fresh — the
-    #: signal the serving tier uses to count *actual* syntheses when
-    #: several daemons share one cache directory.
+    #: disk tier).  ``cached_outputs`` equal to the output count means
+    #: the run computed nothing fresh — the signal the serving tier uses
+    #: to count *actual* syntheses when several daemons share one cache
+    #: directory.
     cached_outputs: int = 0
 
     @property
@@ -99,7 +96,6 @@ class FprmSynthesizer:
 
     def __init__(self, options: SynthesisOptions | None = None):
         self.options = options or SynthesisOptions()
-        self._records: list = []
 
     def run(self, spec: CircuitSpec) -> SynthesisResult:
         options = self.options
@@ -153,7 +149,7 @@ class FprmSynthesizer:
             spec.num_outputs
         )
 
-        # -- per-output pipelines (cache, then pool or serial) -------------
+        # -- per-output runs (cache lookups, then pool or serial) ----------
         runs: list[OutputRun | None] = [None] * spec.num_outputs
         keys: list[str | None] = [None] * spec.num_outputs
         pending: list[int] = []
@@ -163,12 +159,17 @@ class FprmSynthesizer:
                 hit = cache.lookup(keys[index], output)
                 if hit is not None:
                     runs[index] = hit
-                    self._record_cache_hit(output, hit)
-                    if trace is not None:
-                        trace.cache_hits += 1
-                    metrics.counter("flow.cache.hits").inc()
+                    _record_cache_hit(output, keys[index], hit)
                     continue
             pending.append(index)
+        if cache is not None:
+            hits = spec.num_outputs - len(pending)
+            if trace is not None:
+                trace.cache_hits, trace.cache_misses = hits, len(pending)
+            if hits:
+                metrics.counter("flow.cache.hits").inc(hits)
+            if pending:
+                metrics.counter("flow.cache.misses").inc(len(pending))
 
         fresh: list[OutputRun] | None = None
         retries_counter = metrics.counter(
@@ -186,47 +187,35 @@ class FprmSynthesizer:
                         outputs=len(pending),
                         fallback=fallback,
                     )
-                if fresh is not None and tracer is not None:
-                    for output_run in fresh:
-                        if output_run.spans:
-                            tracer.adopt(
-                                [Span.from_dict(d) for d in output_run.spans],
-                                at=pool_span.start if pool_span else None,
-                                parent=pool_span,
-                            )
-                        if output_run.profile and profiler is not None:
-                            # Re-parent worker samples under this run's
-                            # span tree, the profile analogue of adopt().
-                            profiler.profile.merge(
-                                Profile.from_dict(output_run.profile),
-                                span_prefix=(tracer.root.name,
-                                             "parallel-map"),
-                            )
+                for output_run in fresh or ():
+                    if output_run.spans and tracer is not None:
+                        tracer.adopt(
+                            [Span.from_dict(d) for d in output_run.spans],
+                            at=pool_span.start if pool_span else None,
+                            parent=pool_span,
+                        )
+                    if output_run.profile and profiler is not None:
+                        # Worker samples already start at parallel-map;
+                        # re-parent them under this run's root, the
+                        # profile analogue of adopt().
+                        profiler.profile.merge(
+                            Profile.from_dict(output_run.profile),
+                            span_prefix=(tracer.root.name,),
+                        )
+                    # The worker's counter deltas join this registry, so
+                    # the run's trace delta includes pool work.
+                    for name, value in output_run.counters.items():
+                        metrics.counter(name).inc(value)
             if trace is not None and fallback is not None:
                 trace.parallel_fallback = fallback
-            if fresh is not None:
-                for output_run in fresh:
-                    self._absorb_worker_stats(output_run, trace, metrics)
         if fresh is None:
-            fresh = []
-            for index in pending:
-                output = spec.outputs[index]
-                with obs_span(f"output:{output.name}", category="output",
-                              output=output.name):
-                    fresh.append(self._run_output_serial(output))
-                if trace is not None and cache is not None:
-                    trace.cache_misses += 1
-                if cache is not None:
-                    metrics.counter("flow.cache.misses").inc()
+            fresh = [run_output(spec.outputs[index], options)
+                     for index in pending]
         for index, output_run in zip(pending, fresh):
             runs[index] = output_run
-            # Worker-cache hits are already copies of a stored entry;
-            # re-storing them would reset the entry's saved-seconds info.
             # Degraded runs are partial-effort and must never seed future
             # runs (a budget knob would silently change cached answers).
-            if cache is not None and keys[index] is not None \
-                    and not output_run.cached \
-                    and not output_run.report.degraded:
+            if cache is not None and not output_run.report.degraded:
                 cache.store(keys[index], output_run)
 
         variants_per_output = []
@@ -322,65 +311,25 @@ class FprmSynthesizer:
                 trace.profile = profiler.profile
         return result
 
-    # -- helpers ---------------------------------------------------------------
 
-    def _record_cache_hit(self, output: OutputSpec, hit: OutputRun) -> None:
-        """Mirror the hit's cache-lookup record into the span tree."""
-        lookup = hit.records[0] if hit.records else None
-        with obs_span(f"output:{output.name}", category="output",
-                      output=output.name):
-            with obs_span("cache-lookup", category="pass") as node:
-                if node is not None and lookup is not None:
-                    node.set(
-                        output=output.name,
-                        gates_before=lookup.gates_before,
-                        gates_after=lookup.gates_after,
-                        details=lookup.details,
-                    )
-
-    def _absorb_worker_stats(self, output_run: OutputRun,
-                             trace: FlowTrace | None, metrics) -> None:
-        """Aggregate process-local worker statistics into the trace."""
-        stats = output_run.worker_stats
-        if stats is None:
-            return
-        worker_cache = stats.get("cache", {})
-        hits = worker_cache.get("hits", 0)
-        misses = worker_cache.get("misses", 0)
-        if trace is not None:
-            trace.cache_hits += hits
-            trace.cache_misses += misses
-        if hits:
-            metrics.counter("flow.cache.hits").inc(hits)
-        if misses:
-            metrics.counter("flow.cache.misses").inc(misses)
-        # Fold the worker's counter deltas into this process's registry —
-        # the run's trace delta then includes pool work.
-        for name, value in (stats.get("counters") or {}).items():
-            if name.startswith(SHIPPED_COUNTERS) and value > 0:
-                metrics.counter(name).inc(value)
-
-    # -- per-output pipeline ---------------------------------------------------
-
-    def _run_output_serial(self, output: OutputSpec) -> OutputRun:
-        self._records = []
-        variants, report = self._synthesize_output(output)
-        return OutputRun(variants=variants, report=report,
-                         records=self._records)
-
-    def _synthesize_output(
-        self, output: OutputSpec
-    ) -> tuple[list[tuple[str, object]], OutputReport]:
-        """Returns ([(tag, PI-space expr), …] best-first, report).
-
-        Kept as the seam the tests (and extensions) override: the driver
-        routes every serially-synthesized output through here.  The
-        actual work happens in the :mod:`repro.flow` pass pipeline.
-        """
-        ctx = run_output_pipeline(output, self.options)
-        assert ctx.report is not None
-        self._records = ctx.records
-        return ctx.variants, ctx.report
+def _record_cache_hit(output: OutputSpec, key: str, hit: OutputRun) -> None:
+    """Show a cache hit in the span tree: ``output:<name>`` → ``cache-lookup``."""
+    with obs_span(f"output:{output.name}", category="output",
+                  output=output.name):
+        with obs_span("cache-lookup", category="pass") as node:
+            if node is not None:
+                gates = hit.report.gates_after_reduction
+                node.set(
+                    output=output.name,
+                    gates_before=gates,
+                    gates_after=gates,
+                    details={
+                        "hit": True,
+                        "tier": hit.cached,
+                        "key": key[:16],
+                        "saved_seconds": hit.seconds,
+                    },
+                )
 
 
 def synthesize_fprm(

@@ -3,11 +3,11 @@
 The paper's three explicit stages — FPRM generation (Section 2),
 algebraic factorization (Section 3), XOR redundancy removal (Section 4)
 — run as named passes over a per-output :class:`FlowContext`, managed by
-a :class:`PassManager` that records per-pass telemetry into a
-:class:`FlowTrace`.  On top sit parallel multi-output synthesis
-(:mod:`repro.flow.parallel`) and a content-addressed result cache
-(:mod:`repro.flow.cache`).  The default pipeline is what
-:func:`repro.core.synthesis.synthesize_fprm` runs.
+a :class:`PassManager` that runs each pass inside its span, the one
+per-pass clock :class:`FlowTrace` views.  On top sit parallel
+multi-output synthesis (:mod:`repro.flow.parallel`) and a
+content-addressed result cache (:mod:`repro.flow.cache`).  The default
+pipeline is what :func:`repro.core.synthesis.synthesize_fprm` runs.
 """
 
 from repro.flow.base import OutputPass, PassManager
@@ -35,6 +35,7 @@ from repro.flow.passes import (
     apply_polarity,
     default_output_passes,
     resub_merge,
+    run_output,
     run_output_pipeline,
 )
 from repro.flow.trace import FlowTrace, PassRecord
@@ -63,6 +64,7 @@ __all__ = [
     "output_digest",
     "resolve_jobs",
     "resub_merge",
+    "run_output",
     "run_output_pipeline",
     "run_outputs_in_pool",
 ]

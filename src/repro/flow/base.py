@@ -1,13 +1,11 @@
-"""Pass protocol and the manager that times and records each pass."""
+"""Pass protocol and the manager that runs each pass inside its span."""
 
 from __future__ import annotations
 
 import abc
-import time
 from collections.abc import Sequence
 
 from repro.flow.context import FlowContext
-from repro.flow.trace import PassRecord
 from repro.obs.spans import span as obs_span
 
 
@@ -29,11 +27,11 @@ class OutputPass(abc.ABC):
 
 
 class PassManager:
-    """Runs a pass sequence over a context, recording telemetry.
+    """Runs a pass sequence over a context, one span per pass.
 
-    Per pass it captures wall-time plus the best known strashed gate
-    count at entry and exit (``ctx.best_gates``), so a trace shows where
-    gates were created and where they were removed.
+    The span is the pass's only clock; it also records the best known
+    strashed gate count at entry and exit (``ctx.best_gates``), so a
+    trace shows where gates were created and where they were removed.
     """
 
     def __init__(self, passes: Sequence[OutputPass]):
@@ -51,23 +49,13 @@ class PassManager:
     def run(self, ctx: FlowContext) -> FlowContext:
         for pass_ in self.passes:
             gates_before = ctx.best_gates
-            start = time.perf_counter()
             with obs_span(pass_.name, category="pass") as node:
-                details = pass_.run(ctx) or {}
+                details = pass_.run(ctx)
                 if node is not None:
                     node.set(
                         output=ctx.output.name,
                         gates_before=gates_before,
                         gates_after=ctx.best_gates,
-                        details=details,
+                        details=details or {},
                     )
-            seconds = time.perf_counter() - start
-            ctx.records.append(PassRecord(
-                pass_name=pass_.name,
-                output=ctx.output.name,
-                seconds=seconds,
-                gates_before=gates_before,
-                gates_after=ctx.best_gates,
-                details=details,
-            ))
         return ctx

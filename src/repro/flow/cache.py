@@ -36,6 +36,9 @@ cache directory is configured) makes lookups fall through memory to a
 shared on-disk store with the same key scheme and the same
 checksum/quarantine discipline, and makes stores write through — so a
 cold process starts warm from every previous run on the machine.
+
+The synthesis driver (:mod:`repro.core.synthesis`) is the one client,
+in serial and pooled runs alike; pool workers never touch the cache.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from repro.core.options import SynthesisOptions
 from repro.errors import CacheIntegrityError
 from repro.expr import expression as ex
 from repro.flow.context import OutputReport, OutputRun
-from repro.flow.trace import PassRecord
 from repro.spec import OutputSpec
 
 
@@ -188,7 +190,8 @@ class ResultCache:
         caller transparently recomputes it — the self-healing path.
         A memory miss (including a quarantined memory entry) falls
         through to the disk tier when one is attached; a verified disk
-        entry is promoted into memory and served like a hit.
+        entry is promoted into memory and served like a hit; its
+        ``cached`` names the tier.
         """
         tier = "memory"
         with self._lock:
@@ -217,24 +220,11 @@ class ResultCache:
             self._count("cache.memory.misses",
                         "result-cache misses (both tiers)")
             return None
-        record = PassRecord(
-            pass_name="cache-lookup",
-            output=output.name,
-            seconds=0.0,
-            gates_before=entry.report.gates_after_reduction,
-            gates_after=entry.report.gates_after_reduction,
-            details={
-                "hit": True,
-                "tier": tier,
-                "key": key[:16],
-                "saved_seconds": entry.pipeline_seconds,
-            },
-        )
         return OutputRun(
             variants=list(entry.variants),
             report=replace(entry.report, name=output.name),
-            records=[record],
-            cached=True,
+            seconds=entry.pipeline_seconds,
+            cached=tier,
         )
 
     def _insert(self, key: str, entry: _Entry) -> None:
@@ -258,7 +248,7 @@ class ResultCache:
         entry = _Entry(
             variants=list(run.variants),
             report=replace(run.report),
-            pipeline_seconds=sum(r.seconds for r in run.records),
+            pipeline_seconds=run.seconds,
         )
         entry.checksum = _entry_checksum(entry)
         with self._lock:

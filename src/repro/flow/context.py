@@ -1,4 +1,5 @@
-"""The state a per-output pipeline threads through its passes."""
+"""The state a per-output pipeline threads through its passes, and the
+:class:`OutputRun` it hands back (per-pass times live in pass spans)."""
 
 from __future__ import annotations
 
@@ -9,7 +10,6 @@ from repro.core.redundancy import ReductionStats
 from repro.expr import expression as ex
 from repro.expr.esop import FprmForm
 from repro.expr.memo import ExprMemo
-from repro.flow.trace import PassRecord
 from repro.ofdd.manager import OfddManager
 from repro.spec import OutputSpec
 
@@ -76,7 +76,6 @@ class FlowContext:
     variants: list[tuple[str, ex.Expr]] = field(default_factory=list)
     report: OutputReport | None = None
     best_gates: int | None = None
-    records: list[PassRecord] = field(default_factory=list)
     memo: ExprMemo = field(default_factory=ExprMemo, repr=False,
                            compare=False)
 
@@ -88,24 +87,20 @@ class FlowContext:
 
 @dataclass
 class OutputRun:
-    """What one output's pipeline run hands back to the driver.
+    """What one output's run hands back to the driver: plain data that
+    crosses the process-pool boundary as it is.
 
-    ``spans`` carries the serialized span tree of a pool worker's
-    pipeline (empty when the run happened in-process — the ambient
-    tracer already captured it).  ``worker_stats`` ships process-local
-    statistics — result-cache hits/misses, OFDD table stats — back
-    across the process boundary so the parent can aggregate them into
-    the :class:`~repro.flow.trace.FlowTrace` instead of silently
-    dropping them.
+    ``seconds`` is the pipeline's wall time (for a cache hit, that of the
+    stored run); ``cached`` names the tier that answered a hit
+    (``"memory"``/``"disk"``).  Only a pool worker fills ``spans``,
+    ``profile`` and ``counters``: in-process runs were already seen by
+    the driver's own tracer, profiler and registry.
     """
 
     variants: list[tuple[str, ex.Expr]]
     report: OutputReport
-    records: list[PassRecord] = field(default_factory=list)
-    cached: bool = False
+    seconds: float = 0.0
+    cached: str | None = None
     spans: list[dict] = field(default_factory=list)
-    worker_stats: dict | None = None
-    #: Serialized :class:`~repro.obs.prof.Profile` of a pool worker's
-    #: pipeline (``None`` when profiling is off or the run was local —
-    #: the parent's own profiler already sampled it).
     profile: dict | None = None
+    counters: dict[str, float] = field(default_factory=dict)

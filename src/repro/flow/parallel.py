@@ -2,9 +2,10 @@
 
 Outputs are independent until the resub merge, so their pipelines can
 run across a :mod:`concurrent.futures` process pool.  Every worker runs
-the same pure per-output pipeline, so results are bit-identical to a
-serial run.  Unlike a plain ``pool.map``, each output is submitted as
-its own future, which is what makes the pool *crash-isolated*:
+the same per-output runner as the serial path
+(:func:`~repro.flow.passes.run_output`), so results are bit-identical
+to a serial run.  Unlike a plain ``pool.map``, each output is submitted
+as its own future, which is what makes the pool *crash-isolated*:
 
 * a worker that dies (``os._exit``, OOM kill, segfault) poisons the
   pool, but futures that already completed keep their results — only
@@ -14,26 +15,26 @@ its own future, which is what makes the pool *crash-isolated*:
   and the unfinished outputs are retried;
 * retries rebuild the pool and back off with deterministic jitter
   (:class:`~repro.resilience.retry.RetryPolicy`); when an output
-  exhausts its retries it runs in-process on the serial path, where
-  injected worker faults cannot fire and a real pipeline error can
-  surface naturally.
+  exhausts its retries it runs in-process through the same runner,
+  where injected worker faults cannot fire and a real pipeline error
+  can surface naturally.
 
 Any pool-level failure that prevents the pool from even starting (fork
 limits, pickling) degrades gracefully: the caller falls back to the
 serial path and notes the reason in the trace.
 
-Observability across the process boundary: everything a worker records —
-its span tree, its result-cache hits/misses — is process-local and would
-be silently lost when the worker exits.  Each worker therefore installs
-its own :class:`~repro.obs.spans.SpanTracer` (when tracing is on),
-consults the worker-local result cache (when caching is on), and ships
-both the serialized spans and a ``worker_stats`` dict back inside the
-:class:`~repro.flow.context.OutputRun`; the parent re-parents the spans
-under its own trace and aggregates the stats into the
-:class:`~repro.flow.trace.FlowTrace`.  Run deadlines travel with the
-payload: ``time.monotonic()`` is system-wide on Linux, so a deadline
-computed in the parent is meaningful inside a forked worker, where it is
-installed as the worker's ambient :class:`~repro.resilience.Budget`.
+What crosses the process boundary is plain data, keyed by no object id
+or address.  A task is ``(output, options, deadline, context)``; the
+deadline is a ``time.monotonic()`` value, system-wide on Linux, which
+the worker installs as its ambient :class:`~repro.resilience.Budget`.
+A worker returns an :class:`~repro.flow.context.OutputRun`: ``variants``,
+``report`` and ``seconds``, plus its serialized ``output:<name>`` span
+tree (``spans``, re-parented under the parent's ``parallel-map`` span),
+its stack samples (``profile``) and its :data:`SHIPPED_COUNTERS` deltas
+(``counters``, added to the parent's registry).  Workers never touch
+the result cache; the driver is its only client.  The start method is
+pinned in :data:`POOL_CONTEXT`, and a worker ends itself once the
+pool's owner is gone (:func:`_watch_owner`).
 
 Fault injection (used by the fuzz harness, guarded so it can never fire
 in production): ``REPRO_FAULT_WORKER_CRASH=<origin-pid>:<output-name>``
@@ -46,16 +47,17 @@ clean, which is exactly the recovery story the fuzz lane asserts.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.core.options import SynthesisOptions
 from repro.errors import ReproError, WorkerCrashError
-from repro.flow.cache import cache_key, get_result_cache
 from repro.flow.context import OutputRun
-from repro.flow.passes import run_output_pipeline
+from repro.flow.passes import run_output
 from repro.obs.logs import log_event
 from repro.obs.metrics import get_metrics_registry
 from repro.obs.prof.profiler import SamplingProfiler
@@ -70,9 +72,16 @@ from repro.resilience.retry import RetryPolicy
 from repro.spec import OutputSpec
 
 #: Prefixes of the registry counters a worker ships home per output
-#: (``worker_stats["counters"]``): OFDD work, and FPRM quality fallbacks
-#: such as ``fprm.polarity.exhaustive_capped``.
+#: (``OutputRun.counters``): OFDD work, and FPRM quality fallbacks such
+#: as ``fprm.polarity.exhaustive_capped``.
 SHIPPED_COUNTERS = ("ofdd.", "fprm.")
+
+#: The pool's start method, pinned rather than left to the platform:
+#: ``fork``, what Linux has always run.  ``forkserver`` (the default from
+#: Python 3.14) misses environment set after its server started, such as
+#: the fault hooks below and the log sink; ``spawn`` re-imports the
+#: package in every worker.  Tests patch this to run under ``spawn``.
+POOL_CONTEXT = multiprocessing.get_context("fork")
 
 #: Environment default for ``SynthesisOptions.timeout_per_output``.
 TIMEOUT_ENV = "REPRO_TIMEOUT_PER_OUTPUT"
@@ -139,34 +148,51 @@ def _maybe_inject_fault(output_name: str) -> None:
                 pass
 
 
+def _watch_owner() -> None:
+    """Pool initializer: end this worker once the pool's owner is gone.
+
+    A worker blocked on its task queue never sees its owner die (it
+    holds the queue's write end itself).  Every start method hands it a
+    pipe whose write end only the owner keeps (and, under ``fork``,
+    siblings forked later, which watch in turn); a daemon thread waits
+    for that end to close and exits the worker.  The pipe predates the
+    worker, so an owner that dies before this runs is caught too, and it
+    is the owner's, not the parent's (under ``forkserver`` the server).
+    """
+    owner = multiprocessing.parent_process()
+
+    def watch() -> None:
+        owner.join()
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-owner-watch",
+                     daemon=True).start()
+
+
+def _new_pool(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers, mp_context=POOL_CONTEXT,
+                               initializer=_watch_owner)
+
+
 def _pool_worker(
-    payload: tuple[OutputSpec, SynthesisOptions]
-    | tuple[OutputSpec, SynthesisOptions, float | None]
-    | tuple[OutputSpec, SynthesisOptions, float | None, dict | None],
+    payload: tuple[OutputSpec, SynthesisOptions, float | None, dict | None],
 ) -> OutputRun:
-    output, options = payload[0], payload[1]
-    deadline = payload[2] if len(payload) > 2 else None
-    context = RunContext.from_dict(payload[3]) if len(payload) > 3 else None
+    output, options, deadline, context = payload
     _maybe_inject_fault(output.name)
-    # Never rely on fork-inheriting the parent's ambient budget (it is
-    # thread-local and may carry stale degradation notes); install a
-    # fresh budget against the shipped deadline so notes drained into
-    # this output's report are its own.
+    # The parent's budget and request context are thread-local and do
+    # not cross into a worker: install fresh ones from the shipped data,
+    # so drained degradation notes and log correlation ids are this
+    # output's own.
     budget = Budget.until(deadline) if deadline is not None else None
     previous_budget = install_budget(budget) if budget is not None else None
-    # The request context cannot fork-inherit either (thread-local, and
-    # the pool outlives any single request): install the shipped one so
-    # this worker's log lines join the parent's correlation id.
-    previous_context = install_run_context(context) \
+    previous_context = install_run_context(RunContext.from_dict(context)) \
         if context is not None else None
-    stats = {"pid": os.getpid(), "cache": {"hits": 0, "misses": 0}}
-    # Workers are long-lived: snapshot the shipped counters so the stats
-    # sent home are this output's delta, not the process lifetime's.
-    counters_before = get_metrics_registry().counter_values(SHIPPED_COUNTERS)
-    tracer = (
-        SpanTracer(root_name=f"output:{output.name}", category="output")
-        if options.trace else None
-    )
+    # Workers are long-lived: ship this output's counter delta only.
+    registry = get_metrics_registry()
+    counters_before = registry.counter_values(SHIPPED_COUNTERS)
+    # The root stands for the parent's parallel-map span, so profile
+    # samples carry the parent's path; the output spans ship home.
+    tracer = SpanTracer("parallel-map", "flow") if options.trace else None
     previous = install(tracer) if tracer is not None else None
     profiler = (
         SamplingProfiler(interval=options.profile_interval,
@@ -175,58 +201,17 @@ def _pool_worker(
     )
     log_event("worker.output.start", output=output.name)
     try:
-        run: OutputRun | None = None
-        cache = get_result_cache() if options.cache else None
-        key: str | None = None
-        if cache is not None:
-            # The parent's cache lives in another process; consulting the
-            # worker-local one still pays off whenever one worker sees the
-            # same output function twice (duplicate outputs, chunked maps).
-            key = cache_key(output, options)
-            hit = cache.lookup(key, output)
-            if hit is not None:
-                stats["cache"]["hits"] += 1
-                if tracer is not None:
-                    lookup = hit.records[0]
-                    with tracer.span("cache-lookup", category="pass") as node:
-                        node.set(
-                            output=output.name,
-                            gates_before=lookup.gates_before,
-                            gates_after=lookup.gates_after,
-                            details=lookup.details,
-                        )
-                run = hit
-            else:
-                stats["cache"]["misses"] += 1
-        if run is None:
-            ctx = run_output_pipeline(output, options)
-            assert ctx.report is not None
-            run = OutputRun(variants=ctx.variants, report=ctx.report,
-                            records=ctx.records)
-            # Degraded results are partial-effort and must never seed
-            # future runs; the cache only keeps full-effort entries.
-            if cache is not None and key is not None \
-                    and not run.report.degraded:
-                cache.store(key, run)
+        run = run_output(output, options)
         if profiler is not None:
             run.profile = profiler.stop().as_dict()
             profiler = None
         if tracer is not None:
-            root = tracer.finish()
-            root.set(output=output.name)
-            run.spans = [root.as_dict()]
-        counters_after = get_metrics_registry().counter_values(
-            SHIPPED_COUNTERS)
-        delta = {
-            name: value - counters_before.get(name, 0)
-            for name, value in counters_after.items()
-            if value - counters_before.get(name, 0)
-        }
-        if delta:
-            stats["counters"] = delta
-        run.worker_stats = stats
-        log_event("worker.output.done", output=output.name,
-                  cached=run.cached or stats["cache"]["hits"] > 0)
+            run.spans = [node.as_dict() for node in tracer.finish().children]
+        after = registry.counter_values(SHIPPED_COUNTERS)
+        run.counters = {name: value - counters_before.get(name, 0)
+                        for name, value in after.items()
+                        if value > counters_before.get(name, 0)}
+        log_event("worker.output.done", output=output.name)
         return run
     finally:
         if profiler is not None:
@@ -293,7 +278,7 @@ def run_outputs_in_pool(
     pool: ProcessPoolExecutor | None = None
     try:
         try:
-            pool = ProcessPoolExecutor(max_workers=workers)
+            pool = _new_pool(workers)
         except Exception as err:  # noqa: BLE001 - fork/resource failures vary
             return None, f"{type(err).__name__}: {err}"
         round_index = 0
@@ -314,7 +299,7 @@ def run_outputs_in_pool(
                 metrics.counter("resilience.pool_rebuilds",
                                 "process pools rebuilt after a kill").inc()
                 try:
-                    pool = ProcessPoolExecutor(max_workers=workers)
+                    pool = _new_pool(workers)
                 except Exception:  # noqa: BLE001
                     break  # cannot rebuild: remaining outputs go serial
             round_index += 1
@@ -373,15 +358,14 @@ def run_outputs_in_pool(
         if run is not None:
             continue
         # Retries exhausted (or the pool is gone): this output alone
-        # runs in-process, where injected worker faults cannot fire.
+        # runs in-process, where injected worker faults cannot fire, under
+        # the caller's own tracer, budget and registry.
         metrics.counter(
             "resilience.serial_fallbacks",
             "outputs recovered on the in-process serial path",
         ).inc()
         try:
-            runs[index] = _pool_worker(
-                (outputs[index], options, deadline, context)
-            )
+            runs[index] = run_output(outputs[index], options)
         except ReproError:
             raise
         except Exception as err:  # noqa: BLE001 - genuinely unrecoverable

@@ -37,8 +37,7 @@ from repro.expr.demorgan import minimize_inverters_guarded
 from repro.expr.esop import FprmForm
 from repro.expr.memo import ExprMemo
 from repro.flow.base import OutputPass, PassManager
-from repro.flow.context import FlowContext, OutputReport, ReducedCandidate
-from repro.flow.trace import PassRecord
+from repro.flow.context import FlowContext, OutputReport, OutputRun, ReducedCandidate
 from repro.fprm.polarity import choose_polarity
 from repro.network.build import add_expr, network_from_exprs, strashed_cost
 from repro.network.netlist import Network
@@ -502,11 +501,23 @@ def run_output_pipeline(
     return ctx
 
 
+def run_output(output: OutputSpec, options: SynthesisOptions) -> OutputRun:
+    """The one per-output runner (serial loop, pool worker, in-process
+    fallback): the pipeline inside its ``output:<name>`` span, timed once.
+    """
+    start = time.perf_counter()
+    with obs_span(f"output:{output.name}", category="output",
+                  output=output.name):
+        ctx = run_output_pipeline(output, options)
+    assert ctx.report is not None
+    return OutputRun(variants=ctx.variants, report=ctx.report,
+                     seconds=time.perf_counter() - start)
+
+
 def _direct_budget_fallback(ctx: FlowContext,
                             err: BudgetExceededError) -> None:
     """Replace an interrupted pipeline with the specification itself."""
     note_degradation("pipeline", "direct-specification", err.where)
-    started = time.perf_counter()
     with obs_span("budget-fallback", category="pass") as node:
         expr = minimize_inverters_guarded(
             _last_resort_expr(ctx.output), ctx.output.width, ctx.memo
@@ -525,13 +536,6 @@ def _direct_budget_fallback(ctx: FlowContext,
         reduction_stats=None,
     )
     ctx.best_gates = gates
-    ctx.records.append(PassRecord(
-        pass_name="budget-fallback",
-        output=ctx.output.name,
-        seconds=time.perf_counter() - started,
-        gates_after=gates,
-        details={"where": err.where},
-    ))
 
 
 # -- resub-merge (network-level) ---------------------------------------------

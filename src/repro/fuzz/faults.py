@@ -18,9 +18,10 @@ reproducers:
     width alone, so distinct outputs of one run can alias.
 
 Injection patches the *importing* module's bindings (``repro.flow.passes``
-and ``repro.core.synthesis`` import these names directly), so only the
-in-process serial flow is affected — which is exactly what the fault
-self-tests exercise.
+and ``repro.core.synthesis`` import these names directly).  The pass
+faults reach the in-process flow, which is what the fault self-tests
+exercise; the key fault reaches pooled runs too, since the synthesis
+driver computes every cache key itself.
 
 The faults above are *detected* faults: the campaign must fail under
 them (``--expect-failure``).  The resilience faults below are

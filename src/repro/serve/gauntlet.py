@@ -4,6 +4,9 @@
 
 Three phases, all against real ``repro-serve`` subprocesses:
 
+Every daemon synthesizes on a two-worker pool (``--jobs 2``), and none
+of a SIGKILLed daemon's pool workers may be alive 5 s after the kill.
+
 **Phase A — SIGKILL mid-queue.**  Boot one durable daemon
 (``--state-dir``), submit a batch of small circuits without waiting,
 and SIGKILL the process while most of them are still queued.  Restart
@@ -76,15 +79,50 @@ def _check(condition: bool, message: str) -> None:
         raise GauntletFailure(message)
 
 
+def _live_parent(pid: int) -> int | None:
+    """Parent pid of a running ``pid``; ``None`` once it is gone or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii", errors="replace") as handle:
+            state, ppid = handle.read().rsplit(")", 1)[1].split()[:2]
+    except (OSError, ValueError):
+        return None
+    return None if state in "ZX" else int(ppid)
+
+
+def child_pids(pid: int) -> list[int]:
+    """The running children of ``pid``."""
+    return [
+        int(name)
+        for name in os.listdir("/proc")
+        if name.isdigit() and _live_parent(int(name)) == pid
+    ]
+
+
+def kill_and_reap_orphans(proc: subprocess.Popen) -> list[int]:
+    """SIGKILL ``proc`` and give its children 5 s to end; SIGKILL and
+    return those still running then, so a failed check leaks nothing."""
+    children = child_pids(proc.pid)
+    proc.kill()
+    proc.wait(timeout=30)
+    deadline = time.monotonic() + 5.0
+    while children and time.monotonic() < deadline:
+        time.sleep(0.1)
+        children = [pid for pid in children if _live_parent(pid) is not None]
+    for pid in children:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    return children
+
+
 def _start_daemon(cache_dir: str, state_dir: str,
                   env: dict[str, str] | None = None
                   ) -> tuple[subprocess.Popen, ServeClient]:
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.serve.cli", "--port", "0",
          "--cache-dir", cache_dir, "--state-dir", state_dir,
-         # jobs=1 keeps synthesis in-process: a SIGKILL'd daemon must
-         # not leave orphaned pool workers behind in CI.
-         "--jobs", "1"],
+         "--jobs", "2"],
         stderr=subprocess.PIPE, text=True, env=env,
     )
     deadline = time.monotonic() + 30
@@ -102,9 +140,10 @@ def _start_daemon(cache_dir: str, state_dir: str,
 
 
 def _sigkill(proc: subprocess.Popen) -> None:
-    proc.send_signal(signal.SIGKILL)
-    proc.wait(timeout=30)
+    """SIGKILL a daemon; none of its pool workers may outlive it."""
+    survivors = kill_and_reap_orphans(proc)
     proc.stderr.close()
+    _check(not survivors, f"pool workers {survivors} outlived the daemon")
 
 
 def _stop_daemon(proc: subprocess.Popen) -> None:

@@ -91,19 +91,21 @@ def test_apply_polarity_semantics():
 
 def test_verification_failure_raises(monkeypatch):
     from repro import core
+    from repro.flow.context import OutputRun
 
     spec = tiny_spec(lambda m: m & 1)
     synthesizer = FprmSynthesizer()
 
-    def sabotage(output):
+    def sabotage(output, options):
         expr = ex.Lit(1)
-        return [("cube", expr)], core.synthesis.OutputReport(
+        return OutputRun([("cube", expr)], core.synthesis.OutputReport(
             name="f", polarity=0b1111, num_fprm_cubes=1, method="cube",
             gates_before_reduction=0, gates_after_reduction=0,
             reduction_stats=None,
-        )
+        ))
 
-    monkeypatch.setattr(synthesizer, "_synthesize_output", sabotage)
+    # The driver's one per-output runner.
+    monkeypatch.setattr(core.synthesis, "run_output", sabotage)
     from repro.errors import VerificationError
 
     with pytest.raises(VerificationError):

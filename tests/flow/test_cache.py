@@ -14,6 +14,7 @@ from repro.flow.cache import (
     get_result_cache,
     output_digest,
 )
+from repro.flow.passes import run_output
 from repro.network.blif import write_blif
 from repro.network.verify import equivalent_to_spec
 from repro.spec import CircuitSpec, OutputSpec
@@ -145,14 +146,8 @@ def test_cache_eviction_and_stats():
     cache = ResultCache(max_entries=1)
     spec = get("rd53")
     options = SynthesisOptions()
-    from repro.flow.passes import run_output_pipeline
-    from repro.flow.context import OutputRun
-
-    runs = []
-    for output in spec.outputs[:2]:
-        ctx = run_output_pipeline(output, options)
-        runs.append((cache_key(output, options),
-                     OutputRun(ctx.variants, ctx.report, ctx.records)))
+    runs = [(cache_key(output, options), run_output(output, options))
+            for output in spec.outputs[:2]]
     cache.store(*runs[0])
     cache.store(*runs[1])
     assert len(cache) == 1
@@ -160,7 +155,9 @@ def test_cache_eviction_and_stats():
     assert cache.stats.evictions == 1
     assert cache.lookup(runs[0][0], spec.outputs[0]) is None  # evicted
     hit = cache.lookup(runs[1][0], spec.outputs[1])
-    assert hit is not None and hit.cached
+    assert hit is not None and hit.cached == "memory"
+    # The entry's saved seconds are the stored run's own.
+    assert hit.seconds == runs[1][1].seconds > 0
     assert cache.stats.hits == 1 and cache.stats.misses == 1
 
 
@@ -175,14 +172,10 @@ def test_cache_disabled_by_default():
 
 
 def _one_run(cache, spec, index=0, options=None):
-    from repro.flow.context import OutputRun
-    from repro.flow.passes import run_output_pipeline
-
     options = options or SynthesisOptions()
     output = spec.outputs[index]
-    ctx = run_output_pipeline(output, options)
     key = cache_key(output, options)
-    cache.store(key, OutputRun(ctx.variants, ctx.report, ctx.records))
+    cache.store(key, run_output(output, options))
     return key, output
 
 
@@ -232,18 +225,14 @@ def test_verify_all_is_strict_about_corruption():
 
 
 def test_store_copies_variants_against_caller_mutation():
-    from repro.flow.context import OutputRun
-    from repro.flow.passes import run_output_pipeline
-
     cache = ResultCache()
     spec = get("rd53")
     options = SynthesisOptions()
     output = spec.outputs[0]
-    ctx = run_output_pipeline(output, options)
-    run = OutputRun(ctx.variants, ctx.report, ctx.records)
+    run = run_output(output, options)
     key = cache_key(output, options)
     cache.store(key, run)
-    stored_len = len(ctx.variants)
+    stored_len = len(run.variants)
 
     # The caller keeps mutating its own run after the store; an aliased
     # entry would flunk its own checksum on the next lookup.

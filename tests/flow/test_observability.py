@@ -9,7 +9,8 @@ from repro.circuits import get
 from repro.core.options import SynthesisOptions
 from repro.core.synthesis import synthesize_fprm
 from repro.flow.cache import get_result_cache
-from repro.flow.parallel import _pool_worker
+from repro.flow.parallel import SHIPPED_COUNTERS, _pool_worker
+from repro.flow.passes import DEFAULT_OUTPUT_PASSES
 from repro.flow.trace import FlowTrace
 from repro.obs.schema import validate_trace
 from repro.obs.spans import current_tracer
@@ -95,18 +96,25 @@ def test_pool_run_adopts_worker_spans():
 def test_pool_worker_ships_spans_and_stats():
     spec = get("rd53")
     options = SynthesisOptions(verify=False, cache=True)
-    run = _pool_worker((spec.outputs[0], options))
-    assert run.worker_stats is not None
-    assert run.worker_stats["pid"] > 0
-    assert run.worker_stats["cache"] == {"hits": 0, "misses": 1}
+    payload = (spec.outputs[0], options, None, None)
+    run = _pool_worker(payload)
+    assert run.cached is None and run.seconds > 0
+    # Spans and counter deltas must cross the process boundary as plain
+    # data.
+    json.dumps(run.spans)
+    json.dumps(run.counters)
     assert len(run.spans) == 1
-    json.dumps(run.spans)  # must cross the process boundary as plain data
     assert run.spans[0]["name"] == f"output:{spec.outputs[0].name}"
-    # Second call in the same process: the worker-local cache hits.
-    rerun = _pool_worker((spec.outputs[0], options))
-    assert rerun.worker_stats["cache"] == {"hits": 1, "misses": 0}
+    assert run.counters.get("ofdd.managers") == 1
+    assert all(name.startswith(SHIPPED_COUNTERS) for name in run.counters)
+    # A second call in the same process runs all six passes again: the
+    # worker never consults the result cache, and ships a fresh delta.
+    rerun = _pool_worker(payload)
+    assert rerun.cached is None
     names = [s["name"] for s in rerun.spans[0]["children"]]
-    assert names == ["cache-lookup"]
+    assert names == list(DEFAULT_OUTPUT_PASSES)
+    assert rerun.counters == run.counters
+    assert len(get_result_cache()) == 0
 
 
 def test_pool_cache_stats_are_aggregated_not_dropped():
@@ -115,7 +123,7 @@ def test_pool_cache_stats_are_aggregated_not_dropped():
     result = synthesize_fprm(spec, options)
     trace = result.trace
     assert trace.parallel_fallback is None
-    # Cold pooled run: every output was either a worker-local hit or miss.
+    # Cold pooled run: the driver's one lookup per output missed.
     assert trace.cache_hits + trace.cache_misses == spec.num_outputs
     assert trace.cache_misses >= 1
 

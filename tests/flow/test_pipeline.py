@@ -11,6 +11,7 @@ from repro.core.synthesis import synthesize_fprm
 from repro.flow import (
     DEFAULT_OUTPUT_PASSES,
     FlowContext,
+    FlowTrace,
     OutputPass,
     PassManager,
     default_output_passes,
@@ -19,8 +20,18 @@ from repro.flow import (
 )
 from repro.network.blif import write_blif
 from repro.network.verify import equivalent_to_spec
+from repro.obs.spans import SpanTracer
 
 MULTI_OUTPUT = ["z4ml", "rd53"]
+
+
+def traced_pipeline(output, options, passes=None):
+    """Run one output's pipeline under a tracer: the context, and the
+    pass records read off its spans (the flow's only per-pass clock)."""
+    tracer = SpanTracer()
+    with tracer.activate():
+        ctx = run_output_pipeline(output, options, passes)
+    return ctx, FlowTrace(circuit=output.name, root=tracer.finish()).records
 
 
 # -- parallel vs serial ------------------------------------------------------
@@ -153,10 +164,10 @@ def test_resub_mix_tags_only_changed_outputs():
 
 def test_run_output_pipeline_populates_context():
     spec = get("rd53")
-    ctx = run_output_pipeline(spec.outputs[0], SynthesisOptions())
+    ctx, records = traced_pipeline(spec.outputs[0], SynthesisOptions())
     assert ctx.variants and ctx.report is not None
     assert ctx.report.name == spec.outputs[0].name
-    assert [r.pass_name for r in ctx.records] == list(DEFAULT_OUTPUT_PASSES)
+    assert [r.pass_name for r in records] == list(DEFAULT_OUTPUT_PASSES)
     # Variants are best-first by recorded score.
     assert ctx.best_gates == ctx.report.gates_after_reduction
 
@@ -177,19 +188,20 @@ def test_custom_pass_runs_and_records():
 
     spec = get("rd53")
     passes = default_output_passes() + [CountCandidates()]
-    ctx = run_output_pipeline(spec.outputs[0], SynthesisOptions(), passes)
-    record = ctx.records[-1]
+    ctx, records = traced_pipeline(spec.outputs[0], SynthesisOptions(),
+                                   passes)
+    record = records[-1]
     assert record.pass_name == "count-candidates"
     assert record.details["count"] == len(ctx.candidates) > 0
 
 
 def test_factor_method_skips_recorded():
     spec = get("rd53")
-    ctx = run_output_pipeline(
+    _, records = traced_pipeline(
         spec.outputs[0],
         SynthesisOptions(factor_method=FactorMethod.CUBE),
     )
-    by_name = {r.pass_name: r for r in ctx.records}
+    by_name = {r.pass_name: r for r in records}
     assert "skipped" in by_name["factor-ofdd"].details
     assert "skipped" in by_name["factor-xorfx"].details
     assert "gates" in by_name["factor-cube"].details

@@ -80,14 +80,20 @@ def test_stats_flow_into_pass_details():
     from repro.core.options import SynthesisOptions
     from repro.expr import expression as ex
     from repro.flow.passes import DENSE_SYNTH_LIMIT, run_output_pipeline
+    from repro.flow.trace import FlowTrace
+    from repro.obs.spans import SpanTracer
     from repro.spec import OutputSpec
 
     # Beyond DENSE_SYNTH_LIMIT: forces the diagram-only derivation route.
     width = DENSE_SYNTH_LIMIT + 2
     output = OutputSpec("p", tuple(range(width)),
                         expr=ex.xor_([ex.Lit(v) for v in range(width)]))
-    ctx = run_output_pipeline(output, SynthesisOptions(verify=False))
-    by_name = {r.pass_name: r for r in ctx.records}
+    tracer = SpanTracer()
+    with tracer.activate():
+        run_output_pipeline(output, SynthesisOptions(verify=False))
+    # The pass spans carry each pass's details.
+    records = FlowTrace(circuit="p", root=tracer.finish()).records
+    by_name = {r.pass_name: r for r in records}
     ofdd_stats = by_name["derive-fprm"].details.get("ofdd")
     assert ofdd_stats is not None and ofdd_stats["size"] > 2
     assert "ofdd" in by_name["factor-ofdd"].details
