@@ -25,10 +25,10 @@ AND/OR gate on the unique path to the output has a controlling side input
 (Property 5: XOR gates never block).  Reducing a gate changes the don't
 cares of everything below it — the paper's domino effect toward the PIs
 (Properties 6-7) — so we apply one reduction at a time, root-first, and
-re-derive all conditions before the next one.  After a literal rewrite
-only the conditions that can change are re-derived: the rewritten leaf's
-path to the root and the subtrees hanging off it
-(``RedundancyRemover._update_after_literal``).
+re-derive all conditions before the next one.  The tree is analysed in
+full once; after each rewrite only the conditions that can change are
+re-derived: the rewritten node's subtree, its path to the root and the
+subtrees hanging off that path (``RedundancyRemover._update_after_rewrite``).
 
 Relevance is decided in two stages, mirroring the paper:
 
@@ -132,19 +132,78 @@ class _Analysis:
         self.lit_clean.discard(key)
 
 
+@dataclass(frozen=True)
+class SimulationPatterns:
+    """The literal-space patterns a remover simulates, one bit each, and
+    every literal's value over them (bit ``k`` of ``columns[var]`` is
+    literal ``var`` in ``patterns[k]``).
+
+    They depend on the FPRM form and the options alone, so the removers
+    of one output's candidates share one set: a flow run builds it once
+    per output and keeps it on its ``FlowContext``; a remover made
+    without one builds its own.
+    """
+
+    patterns: tuple[int, ...]
+    columns: tuple[int, ...]
+
+    @classmethod
+    def build(cls, n: int, form: FprmForm | None,
+              options: SynthesisOptions) -> SimulationPatterns:
+        if form is not None and form.num_cubes <= options.cube_limit:
+            patterns = full_pattern_set(form)
+        else:
+            patterns = [0, (1 << n) - 1]
+        if options.controllability is ControllabilityEngine.ENUMERATION:
+            patterns = patterns + _enumeration_patterns(form, options)
+            seen: set[int] = set()
+            patterns = [p for p in patterns
+                        if not (p in seen or seen.add(p))]
+        columns = []
+        for var in range(n):
+            column = 0
+            for k, pattern in enumerate(patterns):
+                if (pattern >> var) & 1:
+                    column |= 1 << k
+            columns.append(column)
+        return cls(tuple(patterns), tuple(columns))
+
+
+def _enumeration_patterns(form: FprmForm | None,
+                          options: SynthesisOptions) -> list[int]:
+    """Unions of cube subsets — the explicit form of the paper's
+    cube-parity exploration (exact when all node functions are
+    determined by cube activation)."""
+    if form is None:
+        return []
+    cubes = [mask for mask in form.cubes if mask]
+    if len(cubes) > options.enumeration_cube_limit:
+        return []
+    unions = [0]
+    for cube in cubes:
+        unions += [existing | cube for existing in unions]
+    return sorted(set(unions))
+
+
+#: One applied rewrite: the node, a copy of it from before, and the node
+#: whose fields it took (``TNode.replace_with`` both ways undoes/redoes it).
+_Rewrite = tuple[TNode, TNode, TNode]
+
+
 class RedundancyRemover:
     """Drives the reduction loop on one output tree."""
 
     def __init__(self, root: TNode, n: int, form: FprmForm | None,
-                 options: SynthesisOptions):
+                 options: SynthesisOptions,
+                 patterns: SimulationPatterns | None = None):
         self.root = root
         self.n = n
-        self.form = form
         self.options = options
         self.stats = ReductionStats()
-        self._patterns = self._make_patterns()
-        self._all_bits = (1 << len(self._patterns)) - 1
-        self._lit_cols = self._literal_columns(self._patterns)
+        if patterns is None:
+            patterns = SimulationPatterns.build(n, form, options)
+        self._all_bits = (1 << len(patterns.patterns)) - 1
+        self._lit_cols = patterns.columns
         self._bdd: BddManager | None = None
         self._original_bdd: int | None = None
 
@@ -152,78 +211,30 @@ class RedundancyRemover:
 
     def run(self) -> TNode:
         """Reduce to fixpoint; returns the (mutated) root."""
+        # One full analysis of the normalized tree; every pass then
+        # updates it in place, rewrite by rewrite, keeping the tree
+        # normalized as it goes.
+        self.root = tr.simplify_tree(self.root)
         try:
             self._bdd = BddManager(self.n, node_limit=self.options.bdd_node_budget)
-            baseline = self._analyze()
-            self._original_bdd = baseline.bdds[id(self.root)]
+            analysis = self._analyze()
+            self._original_bdd = analysis.bdds[id(self.root)]
         except ReproError:
-            # BDD blow-up: no exact oracle, leave the tree untouched.
+            # BDD blow-up: no exact oracle, leave the tree as it is.
             self.stats.skipped_no_engine += 1
             return self.root
-        # Reuse an analysis as long as the tree is untouched: the
-        # baseline covers the first pass whenever the initial simplify
-        # is a no-op (the common case — factorization emits normalized
-        # trees).  A pass that rewrote one literal updates it in place
-        # (most passes do exactly that); XOR rewrites re-analyse in full.
-        analysis: _Analysis | None = baseline
-        leaf: TNode | None = None
         while True:
             try:
-                if leaf is not None:
-                    assert analysis is not None
-                    analysis = self._update_after_literal(analysis, leaf)
-                else:
-                    self.root, tree_changed = tr.simplify_tree_tracked(self.root)
-                    if tree_changed or analysis is None:
-                        analysis = self._analyze()
-                progressed, leaf = self._reduce_pass(analysis)
+                rewrites = self._reduce_pass(analysis)
+                if not rewrites:
+                    break
+                analysis = self._update(analysis, rewrites)
             except ReproError:
+                # A pass cut short may leave its rewrites unfolded.
                 self.stats.skipped_no_engine += 1
+                self.root = tr.simplify_tree(self.root)
                 break
-            if not progressed:
-                break
-            if leaf is None:
-                analysis = None  # XOR reductions mutated the tree in place
-        self.root = tr.simplify_tree(self.root)
         return self.root
-
-    # -- pattern machinery ------------------------------------------------------
-
-    def _make_patterns(self) -> list[int]:
-        if self.form is not None and self.form.num_cubes <= self.options.cube_limit:
-            patterns = full_pattern_set(self.form)
-        else:
-            patterns = [0, (1 << self.n) - 1]
-        if self.options.controllability is ControllabilityEngine.ENUMERATION:
-            patterns = patterns + self._enumeration_patterns()
-            seen: set[int] = set()
-            patterns = [p for p in patterns
-                        if not (p in seen or seen.add(p))]
-        return patterns
-
-    def _enumeration_patterns(self) -> list[int]:
-        """Unions of cube subsets — the explicit form of the paper's
-        cube-parity exploration (exact when all node functions are
-        determined by cube activation)."""
-        if self.form is None:
-            return []
-        cubes = [mask for mask in self.form.cubes if mask]
-        if len(cubes) > self.options.enumeration_cube_limit:
-            return []
-        unions = [0]
-        for cube in cubes:
-            unions += [existing | cube for existing in unions]
-        return sorted(set(unions))
-
-    def _literal_columns(self, patterns: list[int]) -> list[int]:
-        columns = []
-        for var in range(self.n):
-            column = 0
-            for k, pattern in enumerate(patterns):
-                if (pattern >> var) & 1:
-                    column |= 1 << k
-            columns.append(column)
-        return columns
 
     # -- analysis ------------------------------------------------------------------
 
@@ -292,13 +303,13 @@ class RedundancyRemover:
                     bdds[key] = bdd.xor_(bdds[a], bdds[b])
 
     def _derive(self, analysis: _Analysis, start: TNode,
-                obs: int) -> list[TNode]:
+                obs: int) -> list[int]:
         """Observability, ODC parts and parents of ``start``'s proper
         descendants.
 
         ``start`` is observable on ``obs``, and its own ``odc_zero`` and
         ``odc_parts`` (or ``odcs`` entry, for the root) are already set.
-        Returns the subtree in pre-order.
+        Returns the keys of the subtree in pre-order.
         """
         # Pre-order: Property 5 — XOR gates have no controlling value;
         # AND/OR gates mask observability with the sibling's value and
@@ -318,13 +329,13 @@ class RedundancyRemover:
         odc_zero = analysis.odc_zero
         odc_parts = analysis.odc_parts
         parent = analysis.parent
-        visited: list[TNode] = []
+        visited: list[int] = []
         stack: list[tuple[TNode, int]] = [(start, obs)]
         while stack:
             node, obs = stack.pop()
             key = id(node)
             observable[key] = obs
-            visited.append(node)
+            visited.append(key)
             op = node.op
             if op == tr.NOT:
                 kid = node.kids[0]
@@ -363,24 +374,69 @@ class RedundancyRemover:
                 stack.append((a, obs & (values[kb] ^ all_bits)))
         return visited
 
-    def _update_after_literal(self, analysis: _Analysis,
-                              leaf: TNode) -> _Analysis:
-        """Bring ``analysis`` up to date after ``leaf`` became a constant.
+    def _update(self, analysis: _Analysis,
+                rewrites: list[_Rewrite]) -> _Analysis:
+        """Bring ``analysis`` up to date after a pass's ``rewrites``.
 
-        The rest of the tree is normalized, so only ``leaf``'s ancestors
-        need re-folding.  Subtree data (value, BDD, support) changes
-        from the fold point up to the first ancestor where it comes out
-        the same; path data changes for the fold point's subtree and for
-        the subtrees hanging off AND/OR gates on that stretch (XOR and
-        NOT gates pass observability through unchanged, Property 5).
-        Everything else — tables and memoised decisions — stays valid.
+        Each update must find exactly its own rewrite new in the tree, so
+        the batch is undone and every rewrite redone just before its
+        update.  An earlier update may fold a later rewrite's node out of
+        the tree (its entries are gone then); that rewrite is skipped.
+        Path data is re-derived once, after the whole batch, for the
+        subtrees the updates name (see :meth:`_update_after_rewrite`).
+        """
+        for node, before, _ in rewrites:
+            node.replace_with(before)
+        regions: list[TNode] = []
+        redone = 0
+        try:
+            for node, before, after in rewrites:
+                node.replace_with(after)
+                redone += 1
+                if id(node) in analysis.parent:
+                    self._update_after_rewrite(analysis, node, before.kids,
+                                               regions)
+        finally:
+            # A BDD blow-up mid-batch still leaves the whole batch applied.
+            for node, _, after in rewrites[redone:]:
+                node.replace_with(after)
+        parent = analysis.parent
+        roots = {id(node): node for node in regions if id(node) in parent}
+        for key, node in roots.items():
+            up = above = parent[key]
+            while above is not None and id(above) not in roots:
+                above = parent[id(above)]
+            if above is None:  # no other region holds this one
+                self._rederive(analysis, up, node)
+        return analysis
+
+    def _update_after_rewrite(self, analysis: _Analysis, node: TNode,
+                              old_kids: list[TNode],
+                              regions: list[TNode]) -> None:
+        """Bring subtree data and parents up to date after ``node``,
+        whose kids were ``old_kids``, was rewritten in place, and append
+        to ``regions`` the subtrees whose path data changed.
+
+        The rest of the tree is normalized, so only ``node``'s new
+        inverter (that of ``g·h̄``) and its ancestors need re-folding.
+        Subtree data (value, BDD, support) changes from the fold point up
+        to the first ancestor where it comes out the same; path data
+        changes for the fold point's subtree and for the subtrees hanging
+        off AND/OR gates on that stretch (XOR and NOT gates pass
+        observability through unchanged, Property 5).  Everything else —
+        tables and memoised decisions — stays valid.
         """
         parent = analysis.parent
+        values = analysis.values
+        kids = node.kids
+        for i, kid in enumerate(kids):
+            if id(kid) not in values:  # the new inverter: no entries yet
+                kids[i] = tr.fold_node(kid)
         # Nodes that leave the tree stay referenced here until their
         # entries are gone, so no new node can take over their ids.
-        dropped: list[TNode] = []
-        node = leaf
-        up = parent[id(leaf)]
+        dropped = _unreached(
+            old_kids, {id(n) for kid in kids for n in (kid, *kid.kids)})
+        up = parent[id(node)]
         while up is not None:
             folded = tr.fold_node(up)
             if folded is up:
@@ -395,30 +451,40 @@ class RedundancyRemover:
         for gone in dropped:
             analysis.forget(id(gone))
 
-        # The fold point is new or moved: fresh subtree and path data.
+        # The fold point is new, moved or rewritten: fresh subtree data
+        # and parents now (later folds climb them), path data later.
         parent[id(node)] = up
-        self._evaluate(analysis, (node,))
-        self._rederive(analysis, up, node)
+        fresh = [kid for kid in node.kids if id(kid) not in values]
+        for kid in node.kids:
+            parent[id(kid)] = node
+        for kid in fresh:
+            for grandkid in kid.kids:
+                parent[id(grandkid)] = kid
+        self._evaluate(analysis, fresh + [node])
+        regions.append(node)
 
-        values, bdds, support = analysis.values, analysis.bdds, analysis.support
+        bdds, support = analysis.bdds, analysis.support
         while up is not None:
             if up.op in (tr.AND, tr.OR):
                 a, b = up.kids
-                self._rederive(analysis, up, b if a is node else a)
+                regions.append(b if a is node else a)
             key = id(up)
             before = (values[key], bdds[key], support[key])
             self._evaluate(analysis, (up,))
             analysis.forget_decisions(key)
+            node, up = up, parent[key]
             if (values[key], bdds[key], support[key]) == before:
                 break
-            node, up = up, parent[key]
-        # Every remaining ancestor's subtree holds changed nodes.
+        # Every remaining ancestor's subtree holds changed nodes.  A
+        # subtree aggregate needs its kids' aggregates, so the first
+        # ancestor without one has none above it either.
+        xor_clean, lit_clean = analysis.xor_clean, analysis.lit_clean
         while up is not None:
             key = id(up)
-            analysis.xor_clean.pop(key, None)
-            analysis.lit_clean.discard(key)
+            if xor_clean.pop(key, None) is None and key not in lit_clean:
+                break
+            lit_clean.discard(key)
             up = parent[key]
-        return analysis
 
     def _rederive(self, analysis: _Analysis, up: TNode | None,
                   kid: TNode) -> None:
@@ -449,9 +515,9 @@ class RedundancyRemover:
                 analysis.odc_parts[key] = (up_key,)
                 analysis.odc_zero[key] = analysis.odc_zero[up_key]
                 obs = analysis.observable[up_key]
-        for node in self._derive(analysis, kid, obs):
-            odcs.pop(id(node), None)
-            analysis.forget_decisions(id(node))
+        for k in self._derive(analysis, kid, obs):
+            odcs.pop(k, None)
+            analysis.forget_decisions(k)
         if up is None:
             odcs[key] = 0
 
@@ -487,7 +553,7 @@ class RedundancyRemover:
 
     # -- the reduction step -------------------------------------------------------
 
-    def _reduce_pass(self, analysis: _Analysis) -> tuple[bool, TNode | None]:
+    def _reduce_pass(self, analysis: _Analysis) -> list[_Rewrite]:
         """Apply a batch of reductions in disjoint subtrees (root-first).
 
         All conditions come from the same pre-pass analysis; a reduction in
@@ -496,30 +562,57 @@ class RedundancyRemover:
         whole batch is checked against the original function and rolled
         back to one-at-a-time application if it ever disagrees.
 
-        Returns whether anything was applied, and the literal leaf when
-        the pass rewrote exactly one literal (and nothing else).
+        Returns the rewrites applied, none when nothing applies: XOR
+        rewrites, or else exactly one literal rewrite.
         """
-        applied: list[tuple[TNode, TNode]] = []
+        applied: list[_Rewrite] = []
         self._scan_xors(self.root, analysis, applied)
-        if self.options.literal_cleanup and not applied:
-            leaf = self._scan_literals(self.root, analysis)[0]
-            if leaf is not None:
-                return True, leaf
         if not applied:
-            return False, None
-        if len(applied) > 1 and not self._still_equivalent():
-            for node, backup in applied:
-                node.replace_with(backup)
+            if self.options.literal_cleanup:
+                rewrite = self._scan_literals(self.root, analysis)[0]
+                if rewrite is not None:
+                    applied.append(rewrite)
+            return applied
+        if len(applied) > 1 and not self._batch_equivalent(analysis, applied):
+            for node, before, _ in applied:
+                node.replace_with(before)
             self.stats.reverted += len(applied)
-            return self._reduce_one(analysis), None
-        return True, None
+            return self._reduce_one(analysis)
+        return applied
+
+    def _batch_equivalent(self, analysis: _Analysis,
+                          rewrites: list[_Rewrite]) -> bool:
+        """Whether the tree, with the whole batch applied and nothing
+        folded yet, still computes the original function.
+
+        Only the rewritten nodes, their new inverters and their ancestors
+        get new BDDs; every other node's comes from the pre-pass
+        analysis.
+        """
+        parent = analysis.parent
+        stale: set[int] = set()
+        for node, _, _ in rewrites:
+            key = id(node)
+            while key not in stale:
+                stale.add(key)
+                up = parent[key]
+                if up is None:
+                    break
+                key = id(up)
+        bdd = self._bdd
+        assert bdd is not None
+        try:
+            current = _tree_bdd(self.root, bdd, analysis.bdds, stale)
+        except ReproError:
+            return False
+        return current == self._original_bdd
 
     # The two scans are methods, not recursive closures: a closure that
     # calls itself is a reference cycle, which would keep each analysis
     # alive until the cyclic collector happens to run.
 
     def _scan_xors(self, node: TNode, analysis: _Analysis,
-                   applied: list[tuple[TNode, TNode]]) -> tuple[int, int] | None:
+                   applied: list[_Rewrite]) -> tuple[int, int] | None:
         """Try every XOR at or below ``node``, pre-order, appending the
         rewrites to ``applied``.  Returns the subtree's summed stats delta
         when every XOR decision in it is memoised, else None."""
@@ -539,9 +632,9 @@ class RedundancyRemover:
         elif node.op == tr.XOR:
             before = (stats.decided_by_simulation,
                       stats.decided_by_engine, stats.reverted)
-            backup = TNode(node.op, list(node.kids), node.var)
-            if self._try_reduce_xor(node, analysis):
-                applied.append((node, backup))
+            rewrite = self._try_reduce_xor(node, analysis)
+            if rewrite is not None:
+                applied.append(rewrite)
                 return None  # do not descend into a rewritten subtree
             if stats.reverted == before[2]:
                 memo = (stats.decided_by_simulation - before[0],
@@ -562,18 +655,19 @@ class RedundancyRemover:
         return sim, eng
 
     def _scan_literals(self, node: TNode,
-                       analysis: _Analysis) -> tuple[TNode | None, bool]:
-        """The first literal at or below ``node`` (pre-order) that an
-        untestable fault removes, and whether every literal tried there
-        failed memoisably."""
+                       analysis: _Analysis) -> tuple[_Rewrite | None, bool]:
+        """The rewrite of the first literal at or below ``node``
+        (pre-order) that an untestable fault removes, and whether every
+        literal tried there failed memoisably."""
         key = id(node)
         if key in analysis.lit_clean:
             return None, True
         clean = True
         if node.op == tr.LIT:
             reverted = self.stats.reverted
-            if self._try_reduce_literal(node, analysis):
-                return node, False
+            rewrite = self._try_reduce_literal(node, analysis)
+            if rewrite is not None:
+                return rewrite, False
             clean = self.stats.reverted == reverted
         for kid in node.kids:
             found, kid_clean = self._scan_literals(kid, analysis)
@@ -584,14 +678,17 @@ class RedundancyRemover:
             analysis.lit_clean.add(key)
         return None, clean
 
-    def _reduce_one(self, analysis: _Analysis) -> bool:
+    def _reduce_one(self, analysis: _Analysis) -> list[_Rewrite]:
         """Fallback: first applicable reduction only (always sound)."""
         for node in self.root.iter_nodes():
-            if node.op == tr.XOR and self._try_reduce_xor(node, analysis):
-                return True
-        return False
+            if node.op == tr.XOR:
+                rewrite = self._try_reduce_xor(node, analysis)
+                if rewrite is not None:
+                    return [rewrite]
+        return []
 
-    def _try_reduce_xor(self, node: TNode, analysis: _Analysis) -> bool:
+    def _try_reduce_xor(self, node: TNode,
+                        analysis: _Analysis) -> _Rewrite | None:
         g, h = node.kids
         # Cheap filter from the paper: disjoint-support XOR gates observed
         # through nothing but XOR gates (parity trees, PO join trees) are
@@ -600,7 +697,7 @@ class RedundancyRemover:
         if analysis.odc_zero[id(node)] and not (
             support[id(g)] & support[id(h)]
         ):
-            return False
+            return None
         relevant = frozenset(
             pattern
             for pattern in ((0, 1), (1, 0), (1, 1))
@@ -608,10 +705,11 @@ class RedundancyRemover:
         )
         replacement = _REPLACEMENTS.get(relevant)
         if replacement is None:
-            return False
+            return None
         return self._apply(node, replacement(g, h), kind=_KIND[relevant])
 
-    def _try_reduce_literal(self, node: TNode, analysis: _Analysis) -> bool:
+    def _try_reduce_literal(self, node: TNode,
+                            analysis: _Analysis) -> _Rewrite | None:
         # Simulation witness first: a pattern where the literal is 0 (1)
         # with the node observable satisfies the stuck-at-1 (stuck-at-0)
         # BDD condition directly — ``observable`` is the bit-parallel
@@ -623,7 +721,7 @@ class RedundancyRemover:
         obs = analysis.observable[key]
         value = analysis.values[key]
         if obs & (value ^ all_bits) and obs & value:
-            return False
+            return None
         bdd = self._bdd
         assert bdd is not None
         care = bdd.not_(self._odc(key, analysis))
@@ -634,7 +732,7 @@ class RedundancyRemover:
         # stuck-at-0 untestable: never observed at 1.
         if bdd.and_(care, literal) == 0:
             return self._apply(node, TNode.const(0), kind="literal")
-        return False
+        return None
 
     def _is_relevant(self, node: TNode, pattern: tuple[int, int],
                      analysis: _Analysis) -> bool:
@@ -658,10 +756,12 @@ class RedundancyRemover:
                 gb if pattern[0] else bdd.not_(gb),
                 hb if pattern[1] else bdd.not_(hb),
             )
+            self.stats.decided_by_engine += 1
+            if condition == 0:  # no input produces the pattern at all
+                return False
             condition = bdd.and_(
                 condition, bdd.not_(self._odc(id(node), analysis))
             )
-            self.stats.decided_by_engine += 1
             return condition != 0
         if engine is ControllabilityEngine.ENUMERATION:
             # Enumeration patterns are already in the simulated set; an
@@ -671,17 +771,17 @@ class RedundancyRemover:
         # SIMULATION_ONLY: trust the pattern set, verified on apply.
         return False
 
-    def _apply(self, node: TNode, new: TNode, kind: str) -> bool:
+    def _apply(self, node: TNode, new: TNode, kind: str) -> _Rewrite | None:
         """Mutate ``node`` into ``new``; verify and roll back when the
-        deciding engine was not exact."""
+        deciding engine was not exact.  Returns the rewrite, or None
+        when it was rolled back."""
         exact = self.options.controllability is ControllabilityEngine.BDD
-        backup = None if exact else TNode(node.op, list(node.kids), node.var)
+        before = TNode(node.op, list(node.kids), node.var)
         node.replace_with(new)
         if not exact and not self._still_equivalent():
-            assert backup is not None
-            node.replace_with(backup)
+            node.replace_with(before)
             self.stats.reverted += 1
-            return False
+            return None
         if kind == "or":
             self.stats.xor_to_or += 1
         elif kind == "and":
@@ -692,7 +792,7 @@ class RedundancyRemover:
             self.stats.xor_to_const += 1
         else:
             self.stats.literals_removed += 1
-        return True
+        return node, before, new
 
     def _still_equivalent(self) -> bool:
         bdd = self._bdd
@@ -713,8 +813,13 @@ def _detached(old: TNode, new: TNode) -> list[TNode]:
     kept = {id(new)}
     if new.op == tr.NOT:
         kept.add(id(new.kids[0]))
+    return _unreached([old], kept)
+
+
+def _unreached(roots: list[TNode], kept: set[int]) -> list[TNode]:
+    """The nodes at or below ``roots`` that are not below a ``kept`` one."""
     gone: list[TNode] = []
-    stack = [old]
+    stack = list(roots)
     while stack:
         node = stack.pop()
         if id(node) not in kept:
@@ -723,7 +828,15 @@ def _detached(old: TNode, new: TNode) -> list[TNode]:
     return gone
 
 
-def _tree_bdd(node: TNode, bdd: BddManager) -> int:
+def _tree_bdd(node: TNode, bdd: BddManager,
+              known: dict[int, int] | None = None,
+              stale: set[int] | frozenset[int] = frozenset()) -> int:
+    """The BDD of ``node``'s function, taken from ``known`` for every
+    node it holds and ``stale`` does not name."""
+    if known is not None and id(node) not in stale:
+        cached = known.get(id(node))
+        if cached is not None:
+            return cached
     if node.op == tr.LIT:
         return bdd.var(node.var)
     if node.op == tr.C0:
@@ -731,9 +844,9 @@ def _tree_bdd(node: TNode, bdd: BddManager) -> int:
     if node.op == tr.C1:
         return 1
     if node.op == tr.NOT:
-        return bdd.not_(_tree_bdd(node.kids[0], bdd))
-    a = _tree_bdd(node.kids[0], bdd)
-    b = _tree_bdd(node.kids[1], bdd)
+        return bdd.not_(_tree_bdd(node.kids[0], bdd, known, stale))
+    a = _tree_bdd(node.kids[0], bdd, known, stale)
+    b = _tree_bdd(node.kids[1], bdd, known, stale)
     if node.op == tr.AND:
         return bdd.and_(a, b)
     if node.op == tr.OR:

@@ -182,8 +182,7 @@ def simplify_tree_tracked(root: TNode) -> tuple[TNode, bool]:
     """:func:`simplify_tree` plus a did-anything-change flag.
 
     When the flag is False every node object (and thus every ``id``-keyed
-    analysis of the tree) is untouched, which lets callers skip re-derived
-    per-pass data.
+    analysis of the tree) is untouched: the tree was already normalized.
     """
     changed = False
 
@@ -209,7 +208,8 @@ def fold_node(node: TNode) -> TNode:
     Returns ``node`` itself when no rule applies, else its replacement:
     a new constant, a new inverter, or one of the existing descendants.
     Normalized kids make the result normalized too, so re-folding only
-    the ancestors of a rewritten leaf keeps the whole tree normalized.
+    a rewritten node's new inner nodes and its ancestors keeps the whole
+    tree normalized.
     """
     op = node.op
     if op in (LIT, C0, C1):

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.options import SynthesisOptions
-from repro.core.redundancy import ReductionStats
+from repro.core.redundancy import ReductionStats, SimulationPatterns
 from repro.expr import expression as ex
 from repro.expr.esop import FprmForm
 from repro.expr.memo import ExprMemo
@@ -62,8 +62,10 @@ class FlowContext:
     and the ``report``.  ``best_gates`` tracks the smallest known
     strashed gate count so the manager can record per-pass gate deltas.
     ``memo`` is the run's structural expression memo: the passes hand it
-    to every strashed cost, phase rewrite and polarity application, and
-    it is dropped with the context.
+    to every strashed cost, phase rewrite and polarity application;
+    ``patterns`` is the simulation pattern set that ``redundancy-removal``
+    builds from ``form`` once and hands to every candidate's remover.
+    Both are dropped with the context.
     """
 
     output: OutputSpec
@@ -78,6 +80,8 @@ class FlowContext:
     best_gates: int | None = None
     memo: ExprMemo = field(default_factory=ExprMemo, repr=False,
                            compare=False)
+    patterns: SimulationPatterns | None = field(default=None, repr=False,
+                                                compare=False)
 
     def note_gates(self, gates: int) -> None:
         """Lower the best known gate count (monotone min)."""

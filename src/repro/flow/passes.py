@@ -30,7 +30,9 @@ from repro.core import tree as tr
 from repro.core.factor_cube import factor_cubes
 from repro.core.factor_ofdd import factor_ofdd
 from repro.core.options import FactorMethod, SynthesisOptions
-from repro.core.redundancy import ReductionStats, RedundancyRemover
+from repro.core.redundancy import (
+    ReductionStats, RedundancyRemover, SimulationPatterns,
+)
 from repro.errors import BudgetExceededError
 from repro.expr import expression as ex
 from repro.expr.demorgan import minimize_inverters_guarded
@@ -322,7 +324,11 @@ class RedundancyRemovalPass(OutputPass):
                 # remover's own inner loop swallows ReproError as a
                 # no-engine skip and would hide the exhausted budget.
                 budget.check("redundancy-removal")
-            remover = RedundancyRemover(tree, output.width, form, ctx.options)
+            if ctx.patterns is None:
+                ctx.patterns = SimulationPatterns.build(
+                    output.width, form, ctx.options)
+            remover = RedundancyRemover(tree, output.width, form,
+                                        ctx.options, ctx.patterns)
             tree = remover.run()
             stats = remover.stats
             literal_expr = tr.expr_from_tree(tree)

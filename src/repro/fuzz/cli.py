@@ -177,7 +177,9 @@ def main(argv: list[str] | None = None) -> int:
         if path == "-":
             print(payload, end="")
         else:
-            pathlib.Path(path).write_text(payload, encoding="utf-8")
+            target = pathlib.Path(path)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(payload, encoding="utf-8")
             print(f"wrote {path}", file=sys.stderr)
 
     tracer = None

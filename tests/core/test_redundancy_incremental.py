@@ -1,6 +1,7 @@
 """Incremental re-analysis in the redundancy remover (paper Section 4).
 
-After a literal rewrite the remover updates its analysis in place
+The remover analyses its tree once; after every pass — one literal
+rewrite or a batch of XOR rewrites — it updates that analysis in place
 instead of re-deriving it over the whole tree.  ``_CheckedRemover``
 re-analyses from scratch after every such update and compares the two
 states; ``_FullRemover`` is the from-scratch loop itself, whose output
@@ -14,12 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bdd.manager import BddManager
 from repro.circuits import get
 from repro.circuits.generators import make_comparator, make_multiplier
 from repro.core import tree as tr
 from repro.core.factor_cube import factor_cubes
 from repro.core.options import ControllabilityEngine, SynthesisOptions
 from repro.core.redundancy import RedundancyRemover
+from repro.core.tree import TNode
 from repro.engine import SynthesisEngine
 from repro.expr.esop import FprmForm
 from repro.flow import passes
@@ -30,23 +33,36 @@ _TABLES = ("values", "bdds", "support", "observable", "odc_zero",
            "odc_parts", "parent")
 
 
+def _check_fresh(remover, analysis):
+    """The tree is normalized and every table equals a fresh analysis's;
+    returns the fresh analysis."""
+    _, changed = tr.simplify_tree_tracked(remover.root)
+    assert not changed, "the local re-fold left the tree unnormalized"
+    fresh = remover._analyze()
+    for name in _TABLES:
+        assert getattr(analysis, name) == getattr(fresh, name), name
+    assert analysis.odcs.keys() <= fresh.values.keys()
+    for key, odc in analysis.odcs.items():
+        assert remover._odc(key, fresh) == odc
+    return fresh
+
+
 class _CheckedRemover(RedundancyRemover):
     """Checks every incremental update against a fresh analysis."""
 
-    updates = 0
+    literal_updates = 0
+    xor_updates = 0
 
-    def _update_after_literal(self, analysis, leaf):
-        analysis = super()._update_after_literal(analysis, leaf)
-        self.updates += 1
-        _, changed = tr.simplify_tree_tracked(self.root)
-        assert not changed, "the local re-fold left the tree unnormalized"
-        fresh = self._analyze()
-        for name in _TABLES:
-            assert getattr(analysis, name) == getattr(fresh, name), name
-        assert analysis.odcs.keys() <= fresh.values.keys()
-        for key, odc in analysis.odcs.items():
-            assert self._odc(key, fresh) == odc
+    def _update(self, analysis, rewrites):
+        xor = rewrites[0][1].op == tr.XOR
+        analysis = super()._update(analysis, rewrites)
+        if xor:
+            self.xor_updates += 1
+        else:
+            self.literal_updates += 1
+        fresh = _check_fresh(self, analysis)
         self._check_memos(analysis, fresh)
+        assert analysis.bdds[id(self.root)] == self._original_bdd
         return analysis
 
     def _check_memos(self, analysis, fresh):
@@ -56,7 +72,7 @@ class _CheckedRemover(RedundancyRemover):
         stats = self.stats
         for key, memo in analysis.xor_memo.items():
             self.stats = dataclasses.replace(stats)
-            assert not self._try_reduce_xor(nodes[key], fresh)
+            assert self._try_reduce_xor(nodes[key], fresh) is None
             delta = (self.stats.decided_by_simulation
                      - stats.decided_by_simulation,
                      self.stats.decided_by_engine - stats.decided_by_engine)
@@ -66,7 +82,7 @@ class _CheckedRemover(RedundancyRemover):
                 if node.op == tr.LIT:
                     assert id(node) in analysis.lit_clean
                     self.stats = dataclasses.replace(stats)
-                    assert not self._try_reduce_literal(node, fresh)
+                    assert self._try_reduce_literal(node, fresh) is None
                     assert self.stats.reverted == stats.reverted
         self.stats = stats
         for key, total in analysis.xor_clean.items():
@@ -79,7 +95,7 @@ class _CheckedRemover(RedundancyRemover):
 class _FullRemover(RedundancyRemover):
     """Re-simplifies and re-analyses the whole tree after every pass."""
 
-    def _update_after_literal(self, analysis, leaf):
+    def _update(self, analysis, rewrites):
         self.root = tr.simplify_tree(self.root)
         return self._analyze()
 
@@ -107,6 +123,58 @@ def test_incremental_state_matches_fresh_analysis(engine, form):
     assert checked[:2] == full[:2]
 
 
+def _scenario(name):
+    """A normalized tree, the rewrites of one batch as (node, replacement)
+    in scan order, and the tree expected after the update."""
+    a, b, c, d = (TNode.lit(var) for var in range(4))
+    x1, x2 = TNode.gate(tr.XOR, a, b), TNode.gate(tr.XOR, c, d)
+    if name == "const-detaches-pending":  # AND(0, x2) folds x2 away
+        return (TNode.gate(tr.AND, x1, x2),
+                [(x1, TNode.const(0)), (x2, TNode.gate(tr.OR, c, d))], "0")
+    if name == "const-detaches-updated":  # x2 updated, then folded away
+        return (TNode.gate(tr.AND, x2, x1),
+                [(x2, TNode.gate(tr.OR, c, d)), (x1, TNode.const(0))], "0")
+    if name == "pending-moves-up":  # XOR(0, x2) folds to x2
+        return (TNode.gate(tr.XOR, x1, x2),
+                [(x1, TNode.const(0)),
+                 (x2, TNode.gate(tr.AND, c, TNode.invert(d)))],
+                "(l2 & !(l3))")
+    if name == "new-inverter-folds":  # g·h̄ with h = NOT(l1 ^ l2)
+        x = TNode.gate(tr.XOR, a, TNode.invert(TNode.gate(tr.XOR, b, c)))
+        return (TNode.gate(tr.OR, x, d),
+                [(x, TNode.gate(tr.AND, a, TNode.invert(x.kids[1])))],
+                "((l0 & (l1 ^ l2)) | l3)")
+    if name == "child-takes-place":
+        g = TNode.gate(tr.AND, a, b)
+        x = TNode.gate(tr.XOR, g, c)
+        return TNode.gate(tr.OR, x, d), [(x, g)], "((l0 & l1) | l3)"
+    if name == "literal-to-inverter":  # XOR(1, g) folds to NOT(g)
+        return (TNode.gate(tr.XOR, a, TNode.gate(tr.AND, b, c)),
+                [(a, TNode.const(1))], "!((l1 & l2))")
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("name", [
+    "const-detaches-pending", "const-detaches-updated", "pending-moves-up",
+    "new-inverter-folds", "child-takes-place", "literal-to-inverter",
+])
+def test_batch_update_matches_fresh_analysis(name):
+    """Each rewrite is applied in place, as the scan applies it, and the
+    batch update must leave the analysis a fresh one would give."""
+    root, pairs, expected = _scenario(name)
+    remover = RedundancyRemover(root, 4, None, SynthesisOptions())
+    remover._bdd = BddManager(4)
+    analysis = remover._analyze()
+    rewrites = []
+    for node, new in pairs:
+        before = TNode(node.op, list(node.kids), node.var)
+        node.replace_with(new)
+        rewrites.append((node, before, new))
+    analysis = remover._update(analysis, rewrites)
+    assert remover.root.format() == expected
+    _check_fresh(remover, analysis)
+
+
 def _flow(spec, cls, monkeypatch, **option_kwargs):
     """BLIF digest, every remover's stats in call order, the removers."""
     removers = []
@@ -125,14 +193,31 @@ def _flow(spec, cls, monkeypatch, **option_kwargs):
     return digest, [dataclasses.astuple(r.stats) for r in removers], removers
 
 
-@pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.value)
-def test_multiplier_literal_cleanup_checked(engine, monkeypatch):
-    spec = make_multiplier(4)
+def _checked_against_full(spec, engine, monkeypatch):
+    """Runs the flow with checked and with from-scratch removers; both
+    must give the same BLIF and counters.  Returns the checked removers."""
     digest, calls, removers = _flow(spec, _CheckedRemover, monkeypatch,
                                     controllability=engine)
-    assert sum(r.updates for r in removers) > 0, "literal cleanup never fired"
     assert _flow(spec, _FullRemover, monkeypatch,
                  controllability=engine)[:2] == (digest, calls)
+    return removers
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.value)
+def test_multiplier_literal_cleanup_checked(engine, monkeypatch):
+    removers = _checked_against_full(make_multiplier(4), engine, monkeypatch)
+    assert sum(r.literal_updates for r in removers) > 0, \
+        "literal cleanup never fired"
+    assert sum(r.xor_updates for r in removers) > 0, "no XOR batch applied"
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.value)
+def test_rd84_reverted_batches_checked(engine, monkeypatch):
+    removers = _checked_against_full(get("rd84"), engine, monkeypatch)
+    assert sum(r.xor_updates for r in removers) > 0, "no XOR batch applied"
+    if engine is ControllabilityEngine.BDD:
+        assert sum(r.stats.reverted for r in removers) > 0, \
+            "no batch fell back to one-at-a-time application"
 
 
 # BLIF digests and per-remover ReductionStats recorded from the
@@ -185,6 +270,7 @@ _SPECS = {
     "mult5": lambda: make_multiplier(5),
     "cmp6": lambda: make_comparator(6),
     "mlp4": lambda: get("mlp4"),
+    "rd84": lambda: get("rd84"),
 }
 
 
@@ -192,3 +278,34 @@ _SPECS = {
 def test_golden_blif_and_stats(name, monkeypatch):
     digest, calls, _ = _flow(_SPECS[name](), RedundancyRemover, monkeypatch)
     assert (digest, calls) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(_SPECS))
+def test_one_analysis_and_one_simplify_per_remover(name, monkeypatch):
+    """Every later pass updates the first analysis in place: a remover
+    that re-analysed or re-simplified the whole tree fails here."""
+    simplify = tr.simplify_tree_tracked
+    running = []
+
+    class Counting(RedundancyRemover):
+        analyses = simplifies = 0
+
+        def run(self):
+            running.append(self)
+            try:
+                return super().run()
+            finally:
+                running.pop()
+
+        def _analyze(self):
+            self.analyses += 1
+            return super()._analyze()
+
+    def counted(root):
+        running[-1].simplifies += 1
+        return simplify(root)
+
+    monkeypatch.setattr(tr, "simplify_tree_tracked", counted)
+    removers = _flow(_SPECS[name](), Counting, monkeypatch)[2]
+    assert removers
+    assert {(r.analyses, r.simplifies) for r in removers} == {(1, 1)}

@@ -80,6 +80,36 @@ def test_cli_green_run_writes_report_and_metrics(tmp_path, capsys):
     assert "0 failure(s)" in out
 
 
+def test_cli_creates_missing_output_directories(tmp_path):
+    out = tmp_path / "artifacts" / "run"
+    status = main(
+        [
+            "--iterations",
+            "1",
+            "--seed",
+            "11",
+            "--oracles",
+            "cube-vs-ofdd",
+            "--properties",
+            "",
+            "--corpus",
+            str(out / "corpus"),
+            "--report-json",
+            str(out / "report.json"),
+            "--metrics",
+            str(out / "metrics" / "metrics.json"),
+            "--trace",
+            str(out / "trace" / "trace.json"),
+        ]
+    )
+    assert status == 0
+    assert json.loads((out / "report.json").read_text())["ok"]
+    metrics = json.loads((out / "metrics" / "metrics.json").read_text())
+    assert "metrics" in metrics
+    trace = json.loads((out / "trace" / "trace.json").read_text())
+    assert trace["category"] == "fuzz"
+
+
 def test_cli_expect_failure_fails_on_green_run(capsys):
     status = main(
         [
