@@ -71,13 +71,10 @@ class SynthesisOptions:
     #: of failing — see docs/RESILIENCE.md for the ladder.
     budget_seconds: float | None = None
     #: Watchdog for hung pool workers: if no output completes for this
-    #: many seconds, the stalled workers are killed and their outputs
-    #: retried (``None`` = disabled; ``REPRO_TIMEOUT_PER_OUTPUT`` env
+    #: many seconds, the pool is killed and its unfinished outputs run
+    #: in-process (``None`` = disabled; ``REPRO_TIMEOUT_PER_OUTPUT`` env
     #: var supplies a default).  Parallel runs only.
     timeout_per_output: float | None = None
-    #: Pool rebuild + retry rounds for crashed/hung workers before the
-    #: affected outputs fall back to in-process serial execution.
-    retries: int = 2
 
     def replace(self, **changes) -> "SynthesisOptions":
         from dataclasses import replace as dc_replace
@@ -89,11 +86,11 @@ class SynthesisOptions:
 
         Excludes ``verify``, ``jobs``, ``trace`` and ``cache`` itself:
         those change how the flow runs, never the resulting variants.
-        The resilience knobs (``budget_seconds``, ``timeout_per_output``,
-        ``retries``) are excluded too: an *un-degraded* result is
-        identical with or without them, and results that did degrade are
-        never stored in the cache (see :meth:`ResultCache.store`'s
-        callers), so budgeted and unbudgeted runs share entries safely.
+        The resilience knobs (``budget_seconds``, ``timeout_per_output``)
+        are excluded too: an *un-degraded* result is identical with or
+        without them, and results that did degrade are never stored in
+        the cache (see :meth:`ResultCache.store`'s callers), so budgeted
+        and unbudgeted runs share entries safely.
         Every new option that affects results must be added here.
         """
         return (

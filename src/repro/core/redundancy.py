@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 from repro.bdd.manager import BddManager
 from repro.core import tree as tr
 from repro.core.options import ControllabilityEngine, SynthesisOptions
+from repro.core.parity_analysis import cube_union_patterns
 from repro.core.patterns import full_pattern_set
 from repro.core.tree import TNode
 from repro.errors import ReproError
@@ -154,10 +155,15 @@ class SimulationPatterns:
             patterns = full_pattern_set(form)
         else:
             patterns = [0, (1 << n) - 1]
-        if options.controllability is ControllabilityEngine.ENUMERATION:
-            patterns = patterns + _enumeration_patterns(form, options)
+        if options.controllability is ControllabilityEngine.ENUMERATION \
+                and form is not None:
+            try:
+                unions = cube_union_patterns(
+                    form, options.enumeration_cube_limit)
+            except ValueError:
+                unions = []  # a form over the limit adds no patterns
             seen: set[int] = set()
-            patterns = [p for p in patterns
+            patterns = [p for p in patterns + unions
                         if not (p in seen or seen.add(p))]
         columns = []
         for var in range(n):
@@ -167,22 +173,6 @@ class SimulationPatterns:
                     column |= 1 << k
             columns.append(column)
         return cls(tuple(patterns), tuple(columns))
-
-
-def _enumeration_patterns(form: FprmForm | None,
-                          options: SynthesisOptions) -> list[int]:
-    """Unions of cube subsets — the explicit form of the paper's
-    cube-parity exploration (exact when all node functions are
-    determined by cube activation)."""
-    if form is None:
-        return []
-    cubes = [mask for mask in form.cubes if mask]
-    if len(cubes) > options.enumeration_cube_limit:
-        return []
-    unions = [0]
-    for cube in cubes:
-        unions += [existing | cube for existing in unions]
-    return sorted(set(unions))
 
 
 #: One applied rewrite: the node, a copy of it from before, and the node

@@ -172,13 +172,9 @@ class FprmSynthesizer:
                 metrics.counter("flow.cache.misses").inc(len(pending))
 
         fresh: list[OutputRun] | None = None
-        retries_counter = metrics.counter(
-            "resilience.retries", "per-output pool retries after crash/hang"
-        )
-        retries_before = retries_counter.value
         if jobs > 1 and len(pending) > 1:
             with obs_span("parallel-map", category="flow") as pool_span:
-                fresh, fallback = run_outputs_in_pool(
+                fresh, fallback, recovered = run_outputs_in_pool(
                     [spec.outputs[index] for index in pending], options, jobs
                 )
                 if pool_span is not None:
@@ -186,6 +182,7 @@ class FprmSynthesizer:
                         workers=min(jobs, len(pending)),
                         outputs=len(pending),
                         fallback=fallback,
+                        recovered=recovered,
                     )
                 for output_run in fresh or ():
                     if output_run.spans and tracer is not None:
@@ -239,7 +236,6 @@ class FprmSynthesizer:
             ).inc(len(degradations))
         if trace is not None:
             trace.degradations = degradations
-            trace.retries = retries_counter.value - retries_before
 
         # -- resub merge (network-level pass) ------------------------------
         with obs_span("resub-merge", category="pass") as merge_span:

@@ -61,7 +61,12 @@ class BudgetExceededError(ReproError):
 
 
 class WorkerCrashError(ReproError):
-    """A pool worker died (crash or hang) and retries were exhausted."""
+    """An output failed in a pool worker and again in-process.
+
+    A crashed, hung or failing worker costs its output one in-process
+    run; this is raised only when that run fails too, with an error
+    that is not a :class:`ReproError` (``attempts`` counts both).
+    """
 
     def __init__(self, output: str, attempts: int, reason: str):
         self.output = output

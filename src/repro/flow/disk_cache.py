@@ -47,10 +47,8 @@ from repro.expr import expression as ex
 from repro.flow.cache import _Entry, _entry_checksum
 from repro.flow.context import OutputReport
 from repro.resilience import faultfs
-from repro.resilience.breaker import CircuitBreaker
 
 __all__ = [
-    "BREAKER_COOLDOWN_ENV",
     "DEFAULT_MAX_BYTES",
     "DISK_CACHE_SCHEMA_VERSION",
     "DiskCacheTier",
@@ -65,21 +63,6 @@ DISK_CACHE_SCHEMA_VERSION = 1
 #: Default size budget: generous for a benchmark suite (entries are a
 #: few KiB each), small enough to never surprise a laptop.
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
-
-#: Seconds an open disk-write breaker waits before the half-open
-#: re-probe (overridable for tests/gauntlets that model disk recovery).
-BREAKER_COOLDOWN_ENV = "REPRO_CACHE_BREAKER_COOLDOWN"
-DEFAULT_BREAKER_COOLDOWN = 30.0
-
-
-def _breaker_cooldown() -> float:
-    raw = os.environ.get(BREAKER_COOLDOWN_ENV)
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            pass
-    return DEFAULT_BREAKER_COOLDOWN
 
 
 # -- expression (de)serialization --------------------------------------------
@@ -224,8 +207,7 @@ class DiskCacheTier:
     """
 
     def __init__(self, directory: str | os.PathLike,
-                 max_bytes: int = DEFAULT_MAX_BYTES,
-                 breaker: CircuitBreaker | None = None):
+                 max_bytes: int = DEFAULT_MAX_BYTES):
         if max_bytes <= 0:
             raise ValueError("max_bytes must be positive")
         self.directory = pathlib.Path(directory)
@@ -238,18 +220,9 @@ class DiskCacheTier:
         # Approximate store size, maintained incrementally so stores do
         # not walk the directory; refreshed from disk lazily and by gc().
         self._approx_bytes: int | None = None
-        #: Write-path circuit breaker: after three consecutive failed
-        #: stores (ENOSPC, EIO, ...) the tier stops attempting disk
-        #: writes — the cache degrades to memory-only — until a timed
-        #: half-open probe finds the disk healthy again.  Reads are not
-        #: gated: they allocate no space and already self-heal.
-        self.breaker = breaker or CircuitBreaker(
-            name="cache.disk",
-            failure_threshold=3,
-            cooldown_seconds=_breaker_cooldown(),
-        )
-        self.breaker.on_state_change = self._publish_breaker_state
-        self._publish_breaker_state(self.breaker.state)
+        #: Stores lost to OS faults (ENOSPC, EIO, ...), for the serve
+        #: health monitor.
+        self.write_errors = 0
 
     # -- paths ------------------------------------------------------------
 
@@ -284,21 +257,6 @@ class DiskCacheTier:
             "cache.disk.corruptions",
             "disk-cache entries quarantined at read",
         ).inc()
-
-    def _publish_breaker_state(self, state: str) -> None:
-        """Mirror the write breaker into gauges/counters for /metrics."""
-        from repro.obs.metrics import get_metrics_registry
-
-        registry = get_metrics_registry()
-        registry.gauge(
-            "cache.disk.breaker",
-            "disk-cache write breaker (0 closed, 0.5 half-open, 1 open)",
-        ).set({"closed": 0, "half-open": 0.5, "open": 1}.get(state, 1))
-        if state == CircuitBreaker.OPEN:
-            registry.counter(
-                "cache.disk.breaker.opened",
-                "times the disk-cache write breaker opened",
-            ).inc()
 
     # -- lookup / store ----------------------------------------------------
 
@@ -339,21 +297,14 @@ class DiskCacheTier:
     def store_entry(self, key: str, entry: _Entry) -> bool:
         """Persist one checksummed entry atomically (write-rename).
 
-        Best-effort by contract: a store that fails at the OS level
-        (``ENOSPC``, ``EIO``, an injected fault) is *absorbed* — counted
-        in ``cache.disk.errors``, fed to the write breaker — and the
-        method returns ``False``; the caller's request already has its
-        result in memory and must not fail because persistence did.
-        While the breaker is open the store is skipped outright
-        (``cache.disk.skipped_stores``), so a dead disk costs one
-        breaker check instead of a doomed write per output.
+        Best-effort by contract: every store is attempted, and one that
+        fails at the OS level (``ENOSPC``, ``EIO``, an injected fault) is
+        *absorbed* — counted in ``cache.disk.errors`` and
+        :attr:`write_errors` — and the method returns ``False``; the
+        caller's request already has its result in memory and must not
+        fail because persistence did.  A lost store costs only a later
+        recompute.
         """
-        if not self.breaker.allow():
-            self._metric(
-                "cache.disk.skipped_stores",
-                "disk-cache stores skipped while the write breaker is open",
-            ).inc()
-            return False
         path = self.path_for(key)
         payload = json.dumps(entry_to_doc(key, entry), separators=(",", ":"))
         try:
@@ -364,13 +315,13 @@ class DiskCacheTier:
             # identical content.
             faultfs.atomic_write_text(str(path), payload)
         except OSError:
-            self.breaker.record_failure()
+            with self._lock:  # serve workers store from several threads
+                self.write_errors += 1
             self._metric(
                 "cache.disk.errors",
                 "disk-cache writes that failed at the OS level",
             ).inc()
             return False
-        self.breaker.record_success()
         self._metric("cache.disk.puts", "disk-cache stores").inc()
         with self._lock:
             if self._approx_bytes is not None:

@@ -7,17 +7,18 @@ the same per-output runner as the serial path
 to a serial run.  Unlike a plain ``pool.map``, each output is submitted
 as its own future, which is what makes the pool *crash-isolated*:
 
-* a worker that dies (``os._exit``, OOM kill, segfault) poisons the
-  pool, but futures that already completed keep their results — only
-  the unfinished outputs are retried;
+* a worker that dies (``os._exit``, OOM kill, segfault) breaks the
+  pool, but futures that already completed keep their results;
 * a worker that hangs trips a per-output watchdog (no completion within
-  ``timeout_per_output`` seconds), the pool's processes are terminated
-  and the unfinished outputs are retried;
-* retries rebuild the pool and back off with deterministic jitter
-  (:class:`~repro.resilience.retry.RetryPolicy`); when an output
-  exhausts its retries it runs in-process through the same runner,
-  where injected worker faults cannot fire and a real pipeline error
-  can surface naturally.
+  ``timeout_per_output`` seconds), and the pool's processes are
+  terminated.
+
+Either way the pool is done: each call builds one, and every output
+without a pool result then runs once in-process through the same
+runner, where injected worker faults cannot fire and a real pipeline
+error surfaces as it would serially.  The flow is a pure function of
+the output and the options, so that one run recovers the output
+exactly.
 
 Any pool-level failure that prevents the pool from even starting (fork
 limits, pickling) degrades gracefully: the caller falls back to the
@@ -41,8 +42,8 @@ in production): ``REPRO_FAULT_WORKER_CRASH=<origin-pid>:<output-name>``
 makes a *pool worker* processing that output die via ``os._exit(1)``;
 ``REPRO_FAULT_WORKER_HANG=<origin-pid>:<output-name>:<seconds>`` makes
 it sleep.  The origin-pid guard (the fault only fires when
-``os.getpid() != origin-pid``) keeps the in-process serial fallback
-clean, which is exactly the recovery story the fuzz lane asserts.
+``os.getpid() != origin-pid``) keeps the in-process run clean, which is
+exactly the recovery story the fuzz lane asserts.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from repro.obs.runctx import (
 )
 from repro.obs.spans import SpanTracer, install, uninstall
 from repro.resilience.budget import Budget, current_budget, install_budget
-from repro.resilience.retry import RetryPolicy
 from repro.spec import OutputSpec
 
 #: Prefixes of the registry counters a worker ships home per output
@@ -247,17 +247,18 @@ def run_outputs_in_pool(
     outputs: list[OutputSpec],
     options: SynthesisOptions,
     jobs: int,
-) -> tuple[list[OutputRun] | None, str | None]:
-    """Run the per-output pipelines across a crash-isolated process pool.
+) -> tuple[list[OutputRun] | None, str | None, int]:
+    """Run the per-output pipelines across one crash-isolated process pool.
 
-    Returns ``(runs, None)`` on success — in input order — or
-    ``(None, reason)`` when the pool could not even be started and the
-    caller should fall back to the serial path.  Deterministic pipeline
-    errors (:class:`~repro.errors.ReproError`) are re-raised unchanged
-    (the serial path would hit them too); everything else about a worker
-    — crashes, hangs, transient per-output exceptions — is retried per
-    ``options.retries`` and finally absorbed by an in-process serial
-    fallback for just that output.
+    Returns ``(runs, None, recovered)`` on success — ``runs`` in input
+    order, ``recovered`` the number of them that ran in-process because
+    the pool gave no result — or ``(None, reason, 0)`` when the pool
+    could not even be started and the caller should fall back to the
+    serial path.  Deterministic pipeline errors
+    (:class:`~repro.errors.ReproError`) are re-raised unchanged (the
+    serial path would hit them too).  A crash, a hang or any other error
+    of a worker costs its output one in-process run; only a failure
+    *there* raises :class:`~repro.errors.WorkerCrashError`.
     """
     workers = min(resolve_jobs(jobs), len(outputs))
     ambient = current_budget()
@@ -270,96 +271,62 @@ def run_outputs_in_pool(
     context = ambient_context.as_dict() if ambient_context is not None \
         else None
     timeout = effective_timeout_per_output(options.timeout_per_output)
-    policy = RetryPolicy(max_retries=max(0, options.retries))
     metrics = get_metrics_registry()
 
-    runs: list[OutputRun | None] = [None] * len(outputs)
-    failures = [0] * len(outputs)
-    pool: ProcessPoolExecutor | None = None
     try:
+        pool = _new_pool(workers)
+    except Exception as err:  # noqa: BLE001 - fork/resource failures vary
+        return None, f"{type(err).__name__}: {err}", 0
+    runs: list[OutputRun | None] = [None] * len(outputs)
+    broken = False
+    try:
+        outstanding = {}
         try:
-            pool = _new_pool(workers)
-        except Exception as err:  # noqa: BLE001 - fork/resource failures vary
-            return None, f"{type(err).__name__}: {err}"
-        round_index = 0
-        while True:
-            pending = [
-                index for index, run in enumerate(runs)
-                if run is None and failures[index] <= policy.max_retries
-            ]
-            if not pending:
-                break
-            if round_index:
+            for index, output in enumerate(outputs):
+                future = pool.submit(
+                    _pool_worker, (output, options, deadline, context)
+                )
+                outstanding[future] = index
+        except Exception:  # noqa: BLE001 - the pool broke during submit
+            broken = True
+        while outstanding:
+            done, _ = wait(list(outstanding), timeout=timeout,
+                           return_when=FIRST_COMPLETED)
+            if not done:
+                # Watchdog: nothing completed within the window, so a
+                # worker is hung.  The pool is killed below.
                 metrics.counter(
-                    "resilience.retries",
-                    "per-output pool retries after crash/hang",
-                ).inc(len(pending))
-                time.sleep(policy.delay(round_index))
-            if pool is None:
-                metrics.counter("resilience.pool_rebuilds",
-                                "process pools rebuilt after a kill").inc()
+                    "resilience.watchdog_kills",
+                    "pools killed by the per-output watchdog",
+                ).inc()
+                broken = True
+                break
+            for future in done:
+                index = outstanding.pop(future)
                 try:
-                    pool = _new_pool(workers)
-                except Exception:  # noqa: BLE001
-                    break  # cannot rebuild: remaining outputs go serial
-            round_index += 1
-            outstanding = {}
-            try:
-                for index in pending:
-                    future = pool.submit(
-                        _pool_worker,
-                        (outputs[index], options, deadline, context),
-                    )
-                    outstanding[future] = index
-            except Exception:  # noqa: BLE001 - pool broke during submit
-                _kill_pool(pool)
-                pool = None
-                for index in pending:
-                    if index not in outstanding.values():
-                        failures[index] += 1
-            broken = False
-            while outstanding:
-                done, _ = wait(list(outstanding), timeout=timeout,
-                               return_when=FIRST_COMPLETED)
-                if not done:
-                    # Watchdog: nothing completed within the window — a
-                    # worker is hung.  Kill the pool; every unfinished
-                    # output counts one failed attempt.
-                    metrics.counter(
-                        "resilience.watchdog_kills",
-                        "pools killed by the per-output watchdog",
-                    ).inc()
-                    for index in outstanding.values():
-                        failures[index] += 1
+                    runs[index] = future.result()
+                except BrokenProcessPool:
+                    # A worker died and broke the pool; futures that
+                    # completed before keep their results.
                     broken = True
-                    break
-                for future in done:
-                    index = outstanding.pop(future)
-                    try:
-                        runs[index] = future.result()
-                    except BrokenProcessPool:
-                        # This worker (or a sibling) died; completed
-                        # futures kept their results — only this output
-                        # is charged a failed attempt.
-                        failures[index] += 1
-                        broken = True
-                    except ReproError:
-                        raise
-                    except Exception:  # noqa: BLE001 - retry, then serial
-                        failures[index] += 1
-            if broken:
-                _kill_pool(pool)
-                pool = None
+                except ReproError:
+                    raise
+                except Exception:  # noqa: BLE001 - runs in-process below
+                    pass
     finally:
-        if pool is not None:
+        if broken:
+            _kill_pool(pool)
+        else:
             pool.shutdown(wait=False, cancel_futures=True)
 
+    recovered = 0
     for index, run in enumerate(runs):
         if run is not None:
             continue
-        # Retries exhausted (or the pool is gone): this output alone
-        # runs in-process, where injected worker faults cannot fire, under
-        # the caller's own tracer, budget and registry.
+        # No pool result: this output runs once in-process, where
+        # injected worker faults cannot fire, under the caller's own
+        # tracer, budget and registry.
+        recovered += 1
         metrics.counter(
             "resilience.serial_fallbacks",
             "outputs recovered on the in-process serial path",
@@ -370,8 +337,6 @@ def run_outputs_in_pool(
             raise
         except Exception as err:  # noqa: BLE001 - genuinely unrecoverable
             raise WorkerCrashError(
-                outputs[index].name,
-                failures[index] + 1,
-                f"{type(err).__name__}: {err}",
+                outputs[index].name, 2, f"{type(err).__name__}: {err}",
             ) from err
-    return [run for run in runs if run is not None], None
+    return [run for run in runs if run is not None], None, recovered

@@ -94,10 +94,9 @@ class FlowTrace:
     #: :mod:`repro.obs.prof`.
     profile: Profile | None = None
     # Resilience: ``output:stage->fallback`` labels for every effort-
-    # degradation rung taken this run, and how many pool retries the
-    # crash-isolated map needed (0 for a clean run).
+    # degradation rung taken this run.  (How many outputs a pooled run
+    # recovered in-process is the ``parallel-map`` span's ``recovered``.)
     degradations: list[str] = field(default_factory=list)
-    retries: int = 0
     #: Run-scoped counter deltas from the metrics registry (today the
     #: ``ofdd.*`` family), so an exported trace carries the same numbers
     #: ``repro-trace summary`` shows.
@@ -176,7 +175,6 @@ class FlowTrace:
             "seconds": self.seconds,
             "resilience": {
                 "degradations": list(self.degradations),
-                "retries": self.retries,
             },
             "seconds_by_pass": self.seconds_by_pass(),
             "records": [record.as_dict() for record in self.records],
@@ -209,7 +207,6 @@ class FlowTrace:
             parallel_fallback=payload.get("parallel_fallback"),
             seconds=payload.get("seconds", 0.0),
             degradations=list(resilience.get("degradations", [])),
-            retries=resilience.get("retries", 0),
             metrics=dict(payload.get("metrics", {})),
             root=root,
         )
@@ -251,11 +248,9 @@ class FlowTrace:
                 f"  cache: {self.cache_hits} hit(s), "
                 f"{self.cache_misses} miss(es)"
             )
-        if self.degradations or self.retries:
-            lines.append(
-                f"  resilience: {self.retries} retr{'y' if self.retries == 1 else 'ies'}, "
-                f"degraded: {', '.join(self.degradations) or 'none'}"
-            )
+        if self.degradations:
+            lines.append(f"  resilience: degraded: "
+                         f"{', '.join(self.degradations)}")
         ofdd_line = self.ofdd_summary()
         if ofdd_line:
             lines.append(f"  {ofdd_line}")

@@ -31,12 +31,13 @@ recovery paths end in spec-equivalent networks:
 
 ``worker-crash``
     Every process-pool worker dies via ``os._exit(1)``; the crash-
-    isolated pool retries, then recovers each output on the in-process
-    serial path (the origin-pid guard keeps that path clean).
+    isolated pool breaks, and each output without a pool result runs
+    once on the in-process serial path (the origin-pid guard keeps that
+    path clean).
 ``worker-hang``
     Every pool worker sleeps past the per-output watchdog window (also
-    armed by this fault); the pool is killed, rebuilt, and the outputs
-    recovered serially.
+    armed by this fault); the pool is killed and the outputs recovered
+    serially.
 ``cache-corrupt-entry``
     Every ``ResultCache.store`` tampers with the entry after its
     checksum is taken; lookups must quarantine and recompute.

@@ -93,13 +93,10 @@ def main(argv: list[str] | None = None) -> int:
                              "(fprm flow only)")
     parser.add_argument("--timeout-per-output", type=float, default=None,
                         metavar="S",
-                        help="watchdog window for pool workers: kill and "
-                             "retry an output with no progress for S "
-                             "seconds (fprm flow only)")
-    parser.add_argument("--retries", type=int, default=None, metavar="N",
-                        help="pool retries per output after a worker "
-                             "crash/hang before the in-process fallback "
-                             "(default 2; fprm flow only)")
+                        help="watchdog window for pool workers: when no "
+                             "output finishes for S seconds, kill the pool "
+                             "and run the unfinished outputs in-process "
+                             "(fprm flow only)")
     args = parser.parse_args(argv)
 
     spec = load_spec(pathlib.Path(args.input))
@@ -115,7 +112,6 @@ def main(argv: list[str] | None = None) -> int:
         profile_interval=args.profile_interval,
         budget_seconds=args.budget_seconds,
         timeout_per_output=args.timeout_per_output,
-        retries=args.retries,
     )
     config = EngineConfig(
         options=options,
@@ -154,11 +150,9 @@ def main(argv: list[str] | None = None) -> int:
                       f"hit(s), "
                       f"{registry.counter('cache.disk.puts').value:g} "
                       f"store(s) in {config.cache_dir}")
-            if trace.degradations or trace.retries:
-                print(f"resilience: {trace.retries} pool retr"
-                      f"{'y' if trace.retries == 1 else 'ies'}; "
-                      f"degraded: "
-                      f"{', '.join(trace.degradations) or 'none'}")
+            if trace.degradations:
+                print(f"resilience: degraded: "
+                      f"{', '.join(trace.degradations)}")
             hot = trace.hotspots()
             if hot:
                 print("hotspots (self-time):")

@@ -98,7 +98,6 @@ def _cmd_summary(args: argparse.Namespace) -> int:
             },
             "resilience": {
                 "degradations": list(parsed.degradations),
-                "retries": parsed.retries,
             },
             "metrics": parsed.metrics,
             "seconds_by_pass": parsed.seconds_by_pass(),

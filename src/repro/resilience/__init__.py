@@ -1,4 +1,4 @@
-"""Resilience layer: deadlines, degradation, retries, fault injection.
+"""Resilience layer: deadlines, degradation, fault injection.
 
 The DAC'96 flow has several loops whose worst case is exponential —
 the exhaustive polarity scan, EXORCISM-style cube-pair minimization,
@@ -11,15 +11,6 @@ rest of the tree threads through:
     ambiently per run and checked cooperatively inside the expensive
     loops; on exhaustion each stage falls down an *effort-degradation
     ladder* to a cheaper-but-correct result, recording what it gave up.
-:mod:`repro.resilience.retry`
-    A :class:`~repro.resilience.retry.RetryPolicy` with capped
-    exponential backoff and seeded (deterministic) jitter, used by the
-    crash-isolated process pool in :mod:`repro.flow.parallel`.
-:mod:`repro.resilience.breaker`
-    A :class:`~repro.resilience.breaker.CircuitBreaker` (consecutive
-    failures trip it open, a timed half-open probe closes it) that lets
-    the disk-backed cache degrade to memory-only behavior while a disk
-    is full or broken.
 :mod:`repro.resilience.faultfs`
     Deterministic filesystem fault injection (``ENOSPC``/``EIO``/
     partial-write/fsync-failure by call count and path pattern) behind
@@ -27,10 +18,14 @@ rest of the tree threads through:
     serve spool and key locks, the disk cache (entries and quarantine
     moves) and the structured log sink.
 
+Every other fault gets one response where it happens: a crashed or
+hung pool worker costs its output one in-process run
+(:mod:`repro.flow.parallel`), and a failed disk-cache store costs a
+later recompute (:mod:`repro.flow.disk_cache`).
+
 See docs/RESILIENCE.md for the failure taxonomy and the ladder.
 """
 
-from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.budget import (
     Budget,
     DegradationRecord,
@@ -40,13 +35,10 @@ from repro.resilience.budget import (
     install_budget,
     note_degradation,
 )
-from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "Budget",
-    "CircuitBreaker",
     "DegradationRecord",
-    "RetryPolicy",
     "budget_tick",
     "current_budget",
     "effective_budget_seconds",

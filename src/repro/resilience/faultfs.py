@@ -33,7 +33,7 @@ payload, then raise ``ENOSPC`` — the torn-write shape).  ``path``
 matches substrings of the target path; ``after`` skips the first N
 matching calls; ``count`` bounds how many faults the rule injects
 (unset = every matching call), which is how a test models a disk that
-*recovers* — the breaker's half-open re-probe then finds it healthy.
+*recovers* — the next store after the plan is spent persists again.
 
 Injected faults are counted in the ``faultfs.injected`` metric so a
 gauntlet can assert the faults actually fired.

@@ -18,7 +18,7 @@ directory without duplicating in-flight synthesis; the kernel frees a
 crashed holder's locks at once.  A bounded queue sheds overload with
 503 + ``Retry-After`` (``--max-queue-depth``), and a health monitor
 (:mod:`repro.serve.health`) reports degraded mode on ``/healthz`` when
-disk headroom, spool writes or the disk-cache breaker go bad.
+disk headroom runs low or spool or disk-cache writes fail.
 ``python -m repro.serve.gauntlet`` exercises the crash paths,
 including phase C's injected disk faults.
 

@@ -11,9 +11,9 @@ Backpressure (503 from overload shedding) surfaces as the same typed
 error the queue raises in-process, :class:`~repro.errors.
 OverloadedError`, carrying the server's ``Retry-After``.  Pass
 ``retries=N`` to let the client absorb that backpressure itself: it
-sleeps for the server's ``Retry-After`` (bounded by the retry policy's
-capped exponential backoff with deterministic jitter) and resubmits,
-raising only once the budget is spent.
+sleeps for the server's ``Retry-After``, clamped to
+[:data:`MIN_BACKOFF_SECONDS`, :data:`MAX_BACKOFF_SECONDS`], and
+resubmits, raising only once the budget is spent.
 """
 
 from __future__ import annotations
@@ -24,20 +24,22 @@ import urllib.error
 import urllib.request
 
 from repro.errors import OverloadedError
-from repro.resilience.retry import RetryPolicy
 
-__all__ = ["ServeClient"]
+__all__ = ["MAX_BACKOFF_SECONDS", "MIN_BACKOFF_SECONDS", "ServeClient"]
+
+#: Bounds of one backoff sleep: a near-zero ``Retry-After`` must not
+#: busy-spin the daemon, and a drowning daemon may advertise a pause
+#: that would stall a test harness for a minute per attempt.
+MIN_BACKOFF_SECONDS = 0.1
+MAX_BACKOFF_SECONDS = 5.0
 
 
 class ServeClient:
     def __init__(self, base_url: str, timeout: float = 60.0,
-                 retries: int = 0,
-                 retry_policy: RetryPolicy | None = None):
+                 retries: int = 0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.retries = max(0, retries)
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_retries=self.retries, base_delay=0.1, max_delay=5.0)
         #: Backpressure retries actually performed (test/telemetry hook).
         self.backoff_retries = 0
         self._sleep = time.sleep  # injectable for tests
@@ -73,13 +75,8 @@ class ServeClient:
 
     def _request_with_backoff(self, method: str, path: str,
                               body: dict | None = None):
-        """``_request`` plus automatic retry on 503 backpressure.
-
-        The sleep honors the server's ``Retry-After`` but never exceeds
-        the policy's ``max_delay`` — a server drowning in backlog may
-        advertise a long pause, and a client that obeys it verbatim can
-        stall a test harness for a minute per attempt.
-        """
+        """``_request`` plus up to ``retries`` resubmissions on 503
+        backpressure, each after the server's clamped ``Retry-After``."""
         attempt = 0
         while True:
             try:
@@ -87,14 +84,10 @@ class ServeClient:
             except OverloadedError as exc:
                 if attempt >= self.retries:
                     raise
-                delay = min(
-                    self.retry_policy.max_delay,
-                    max(exc.retry_after,
-                        self.retry_policy.delay(attempt + 1)),
-                )
                 attempt += 1
                 self.backoff_retries += 1
-                self._sleep(delay)
+                self._sleep(min(MAX_BACKOFF_SECONDS,
+                                max(MIN_BACKOFF_SECONDS, exc.retry_after)))
 
     # -- endpoints ---------------------------------------------------------
 

@@ -27,14 +27,14 @@ cache (``serve_lease_acquired`` confirms both took the lock).
 
 **Phase C — disk faults under SIGKILL.**  Boot a daemon with a
 :mod:`repro.resilience.faultfs` plan injected via ``REPRO_FAULTFS``:
-disk-cache entry writes hit ``ENOSPC`` until the write breaker trips,
-one pending-request spool write is torn mid-write, and one spool rename
+the first three disk-cache entry writes hit ``ENOSPC``, one
+pending-request spool write is torn mid-write, and one spool rename
 fails with ``EIO``.  Assert that every job still completes with BLIF
-byte-equal to the reference (disk-cache writes degraded to memory-only
-behind the breaker), that ``journal_write_errors`` counted both spool
-faults, and that the breaker opened and then closed again after the
-half-open re-probe found the disk healthy.  Then SIGKILL the daemon
-mid-traffic, restart it clean, assert the backlog completes
+byte-equal to the reference (the failed stores only cost persistence),
+that ``cache_disk_errors`` counted exactly the three failed stores and
+``journal_write_errors`` both spool faults, and that once the plan is
+spent the next circuit's entries persist at once.  Then SIGKILL the
+daemon mid-traffic, restart it clean, assert the backlog completes
 bit-identically, and finish by checking that the drained daemon left
 no pending entry in the spool.
 
@@ -116,15 +116,17 @@ def kill_and_reap_orphans(proc: subprocess.Popen) -> list[int]:
     return children
 
 
-def _start_daemon(cache_dir: str, state_dir: str,
-                  env: dict[str, str] | None = None
+def _start_daemon(cache_dir: str, state_dir: str | None = None, *,
+                  jobs: int = 2, env: dict[str, str] | None = None
                   ) -> tuple[subprocess.Popen, ServeClient]:
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.serve.cli", "--port", "0",
-         "--cache-dir", cache_dir, "--state-dir", state_dir,
-         "--jobs", "2"],
-        stderr=subprocess.PIPE, text=True, env=env,
-    )
+    """Boot ``repro-serve --jobs JOBS`` on an OS-chosen port, durable
+    when ``state_dir`` is given; returns it with a ready client."""
+    argv = [sys.executable, "-m", "repro.serve.cli", "--port", "0",
+            "--cache-dir", cache_dir, "--jobs", str(jobs)]
+    if state_dir is not None:
+        argv += ["--state-dir", state_dir]
+    proc = subprocess.Popen(argv, stderr=subprocess.PIPE, text=True,
+                            env=env)
     deadline = time.monotonic() + 30
     line = ""
     while time.monotonic() < deadline:
@@ -307,18 +309,16 @@ def phase_c_disk_faults(circuits: list[str], plas: dict[str, str],
         state_dir = os.path.join(tmp, "state")
         batch, probe = circuits[:-1], circuits[-1]
         env = dict(os.environ)
-        # Three deterministic disk faults: entry writes hit ENOSPC until
-        # the breaker trips (threshold 3), the second spool write is
-        # torn, and the first spool rename fails with EIO.  The batch
-        # makes at least two spool writes, so both spool faults fire
-        # before the metrics check.  A short breaker cooldown lets the
-        # half-open re-probe happen within the phase.
+        # Three deterministic disk faults: the first three entry writes
+        # hit ENOSPC, the second spool write is torn, and the first
+        # spool rename fails with EIO.  The batch makes more than three
+        # entry writes and at least two spool writes, so every fault
+        # fires before the metrics check.
         env["REPRO_FAULTFS"] = (
             "write:enospc:path=entries:count=3;"
             "write:partial:path=pending:after=1:count=1;"
             "replace:eio:path=pending:count=1"
         )
-        env["REPRO_CACHE_BREAKER_COOLDOWN"] = "0.05"
         print("gauntlet C: booting under injected disk faults ...",
               flush=True)
         proc, client = _start_daemon(cache_dir, state_dir, env=env)
@@ -335,25 +335,28 @@ def phase_c_disk_faults(circuits: list[str], plas: dict[str, str],
             metrics = client.metrics()
             _check(_metric(metrics, "faultfs_injected") > 0,
                    "no injected fault ever fired")
-            _check(_metric(metrics, "cache_disk_errors") >= 1,
-                   "disk-cache writes never saw the injected ENOSPC")
-            _check(_metric(metrics, "cache_disk_breaker_opened") >= 1,
-                   "the disk-cache write breaker never opened")
+            errors = _metric(metrics, "cache_disk_errors")
+            _check(errors == 3,
+                   f"expected the 3 injected ENOSPC stores to count as "
+                   f"cache_disk_errors, saw {errors:g}")
             _check(_metric(metrics, "journal_write_errors") >= 2,
                    "the spool write errors were not counted")
-            # The ENOSPC rule is exhausted: after the cooldown the
-            # half-open probe on the next store must find the disk
-            # healthy and close the breaker.
-            time.sleep(0.2)
+            # The ENOSPC rule is spent: the probe circuit's entries
+            # persist at once.
+            puts = _metric(metrics, "cache_disk_puts")
             job = client.synthesize(plas[probe], name=probe, wait=True)
             _check(job["state"] == "done", f"probe circuit {probe} failed")
             _check(job["result"]["blif"] == references[probe],
                    f"{probe}: probe BLIF differs from reference")
             metrics = client.metrics()
-            _check(_metric(metrics, "cache_disk_breaker") == 0.0,
-                   "breaker did not close after the disk recovered")
-            print("gauntlet C: breaker tripped and recovered, results "
-                  "bit-identical", flush=True)
+            _check(_metric(metrics, "cache_disk_puts") > puts,
+                   "the probe circuit's entries did not persist after "
+                   "the disk recovered")
+            _check(_metric(metrics, "cache_disk_errors") == 3,
+                   "a store failed after the fault plan was spent")
+            print("gauntlet C: 3 failed stores absorbed, the disk's "
+                  "recovery persisted at once, results bit-identical",
+                  flush=True)
             # Re-submit the batch without waiting and SIGKILL while the
             # spool still holds entries.
             for name in batch:

@@ -10,16 +10,17 @@ samples three signals every couple of seconds:
 2. **spool write errors** — fresh failures to write or move a
    pending-request entry, or to open a key lock, since the last sample
    (an ``ENOSPC`` spool means accepted work is no longer durable);
-3. **disk-cache breaker** — the write breaker of the engine's disk
-   tier sitting open means results are not being persisted.
+3. **cache write errors** — fresh failures of the engine's disk tier
+   to store an entry since the last sample (results are not being
+   persisted, so a restart will recompute them).
 
 Any firing signal puts the daemon in *degraded mode*: ``GET /healthz``
 reports ``"status": "degraded"`` with the reasons, so an operator — or
 a load balancer — can see *why* before the disk actually runs out.
 Degraded mode sheds nothing: every request keeps its answer, which the
-disk-fault gauntlet relies on while the cache breaker is open.  When
-every signal clears, the next sample lifts degraded mode; recovery
-needs no restart.
+disk-fault gauntlet relies on while cache writes fail.  When every
+signal clears, the next sample lifts degraded mode; recovery needs no
+restart.
 
 The ``serve.degraded`` gauge (0/1) and per-reason
 ``serve.degraded.reasons`` counters make the transitions visible in
@@ -31,9 +32,9 @@ from __future__ import annotations
 import asyncio
 import shutil
 
+from repro.flow.disk_cache import DiskCacheTier
 from repro.obs.logs import log_event
 from repro.obs.metrics import get_metrics_registry
-from repro.resilience.breaker import CircuitBreaker
 from repro.serve.spool import RequestSpool
 
 __all__ = ["DEFAULT_INTERVAL_SECONDS", "HealthMonitor"]
@@ -48,19 +49,25 @@ class HealthMonitor:
                  spool: RequestSpool | None = None,
                  state_dir: str | None = None,
                  min_free_bytes: int | None = None,
-                 breaker: CircuitBreaker | None = None,
+                 disk_cache: DiskCacheTier | None = None,
                  interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
                  disk_usage=shutil.disk_usage):
-        self.spool = spool
         self.state_dir = state_dir
         self.min_free_bytes = min_free_bytes
-        self.breaker = breaker
         self.interval_seconds = interval_seconds
         self.disk_usage = disk_usage
         self.checks = 0
-        self._spool_errors_seen = (
-            spool.write_errors if spool is not None else 0
-        )
+        #: Reason -> a source counting its lost writes in ``write_errors``.
+        self._writers: dict[str, RequestSpool | DiskCacheTier] = {}
+        if spool is not None:
+            # "journal" predates the spool; dashboards read the name.
+            self._writers["journal-write-errors"] = spool
+        if disk_cache is not None:
+            self._writers["cache-write-errors"] = disk_cache
+        self._errors_seen = {
+            reason: source.write_errors
+            for reason, source in self._writers.items()
+        }
         self._task: asyncio.Task | None = None
         self._last_reasons: tuple[str, ...] = ()
 
@@ -76,8 +83,7 @@ class HealthMonitor:
         self.checks += 1
         reasons: list[str] = []
         reasons.extend(self._check_disk_headroom())
-        reasons.extend(self._check_spool())
-        reasons.extend(self._check_breaker())
+        reasons.extend(self._check_write_errors())
         registry = get_metrics_registry()
         if tuple(reasons) != self._last_reasons:
             for reason in reasons:
@@ -108,24 +114,20 @@ class HealthMonitor:
             return [f"low-disk:{free // (1024 * 1024)}mb-free"]
         return []
 
-    def _check_spool(self) -> list[str]:
-        if self.spool is None:
-            return []
-        fresh = self.spool.write_errors - self._spool_errors_seen
-        self._spool_errors_seen = self.spool.write_errors
-        if fresh > 0:
-            return ["journal-write-errors"]  # name kept for dashboards
-        # No new failures since the last sample: writes either succeed
-        # again or are not happening — lift the flag optimistically; the
-        # next failed write re-raises it within one interval.
-        return []
+    def _check_write_errors(self) -> list[str]:
+        """A reason per source with failed writes since the last sample.
 
-    def _check_breaker(self) -> list[str]:
-        if self.breaker is None:
-            return []
-        if self.breaker.state == CircuitBreaker.OPEN:
-            return ["cache-breaker-open"]
-        return []
+        No new failures: writes either succeed again or are not
+        happening, so the reason lifts optimistically; the next failed
+        write re-raises it within one interval.
+        """
+        reasons = []
+        for reason, source in self._writers.items():
+            errors = source.write_errors
+            if errors > self._errors_seen[reason]:
+                reasons.append(reason)
+            self._errors_seen[reason] = errors
+        return reasons
 
     # -- background task ---------------------------------------------------
 

@@ -82,7 +82,6 @@ _OPTION_FIELDS = {
     "jobs": int,
     "budget_seconds": float,
     "timeout_per_output": float,
-    "retries": int,
     "redundancy_removal": bool,
     "literal_cleanup": bool,
     "cube_limit": int,
@@ -101,6 +100,10 @@ def options_from_json(doc: dict) -> dict:
     """
     overrides: dict = {}
     for name, raw in doc.items():
+        if name == "retries":
+            # The pool had retry rounds once: older clients still send
+            # this knob and older spool entries carry it.  Ignore it.
+            continue
         conv = _OPTION_FIELDS.get(name)
         if conv is None:
             raise ValueError(f"unknown option {name!r}")

@@ -98,8 +98,7 @@ class ReproServer:
             state_dir=self.state_dir,
             min_free_bytes=(min_free_mb * 1024 * 1024
                             if min_free_mb else None),
-            breaker=(self.engine.disk_tier.breaker
-                     if self.engine.disk_tier is not None else None),
+            disk_cache=self.engine.disk_tier,
         )
         self.host = host
         self.port = port

@@ -27,64 +27,25 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
-import signal
-import subprocess
 import sys
 import tempfile
-import time
 
 from repro.circuits import get
 from repro.expr.pla import pla_from_spec, write_pla
-from repro.serve.client import ServeClient
+from repro.serve.gauntlet import (
+    GauntletFailure,
+    _check,
+    _metric,
+    _start_daemon,
+    _stop_daemon,
+)
 from repro.serve.spool import RequestSpool
 
-_PORT_RE = re.compile(r"127\.0\.0\.1:(\d+)")
+#: The smoke shares the gauntlet's daemon helpers and their failure type.
+SmokeFailure = GauntletFailure
 
-
-class SmokeFailure(AssertionError):
-    pass
-
-
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise SmokeFailure(message)
-
-
-def _start_daemon(cache_dir: str,
-                  state_dir: str | None = None
-                  ) -> tuple[subprocess.Popen, ServeClient]:
-    argv = [sys.executable, "-m", "repro.serve.cli",
-            "--port", "0", "--cache-dir", cache_dir]
-    if state_dir is not None:
-        argv += ["--state-dir", state_dir]
-    proc = subprocess.Popen(argv, stderr=subprocess.PIPE, text=True)
-    deadline = time.monotonic() + 30
-    line = ""
-    while time.monotonic() < deadline:
-        line = proc.stderr.readline()
-        if "listening" in line:
-            break
-        _check(proc.poll() is None, "daemon died before listening")
-    match = _PORT_RE.search(line)
-    _check(match is not None, f"no port in startup line: {line!r}")
-    client = ServeClient(f"http://127.0.0.1:{match.group(1)}")
-    client.wait_ready()
-    return proc, client
-
-
-def _stop_daemon(proc: subprocess.Popen) -> None:
-    proc.send_signal(signal.SIGTERM)
-    code = proc.wait(timeout=30)
-    proc.stderr.close()
-    _check(code == 0, f"daemon exited {code} on SIGTERM (want 0)")
-
-
-def _metric(metrics: str, name: str) -> float:
-    for line in metrics.splitlines():
-        if line.startswith(name + " "):
-            return float(line.split()[1])
-    return 0.0
+#: ``repro-serve``'s own ``--jobs`` default: all usable cores.
+_JOBS = 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -99,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
         state_dir = os.path.join(tmp, "state")
 
         print("smoke: starting repro-serve ...", flush=True)
-        proc, client = _start_daemon(cache_dir, state_dir)
+        proc, client = _start_daemon(cache_dir, state_dir, jobs=_JOBS)
         try:
             health = client.health()
             _check(health.get("durable") is True,
@@ -135,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
         print("smoke: spool empty after the drain", flush=True)
 
         print("smoke: restarting on the same cache dir ...", flush=True)
-        proc, client = _start_daemon(cache_dir, state_dir)
+        proc, client = _start_daemon(cache_dir, state_dir, jobs=_JOBS)
         try:
             warm = client.synthesize(pla, name="rd53", wait=True)
             _check(warm["result"]["blif"] == first["result"]["blif"],

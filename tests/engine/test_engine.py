@@ -38,10 +38,10 @@ def clean_cache():
 
 def test_resolve_options_folds_overrides():
     base = SynthesisOptions(jobs=4)
-    resolved = resolve_options(base, verify=False, retries=7)
+    resolved = resolve_options(base, verify=False, timeout_per_output=7.0)
     assert resolved.jobs == 4
     assert resolved.verify is False
-    assert resolved.retries == 7
+    assert resolved.timeout_per_output == 7.0
 
 
 def test_resolve_options_ignores_none():

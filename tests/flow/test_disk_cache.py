@@ -1,4 +1,5 @@
-"""The disk-backed cache tier: round trips, corruption, GC, CLI."""
+"""The disk-backed cache tier: round trips, corruption, failed stores,
+GC, CLI."""
 
 import json
 import os
@@ -21,6 +22,7 @@ from repro.flow.disk_cache import (
 )
 from repro.network.blif import write_blif
 from repro.obs.metrics import get_metrics_registry
+from repro.resilience import faultfs
 
 
 @pytest.fixture(autouse=True)
@@ -164,6 +166,78 @@ def test_verify_all_raises_and_quarantines(tier):
         tier.verify_all()
     # The bad entry is gone; a re-verify is clean.
     assert tier.verify_all() == checked - 1
+
+
+# -- failed stores ------------------------------------------------------------
+
+
+@pytest.fixture
+def disk_faults():
+    """Install a faultfs plan for one test: ``disk_faults(spec)``."""
+    yield lambda spec: faultfs.install(faultfs.parse_plan(spec))
+    faultfs.clear()
+
+
+def _stored(tier):
+    """rd53's entries on disk; returns one ``(key, entry)``."""
+    _populate(tier)
+    get_result_cache().detach_disk()
+    path = sorted(tier._entry_paths())[0]
+    key = f"{path.parent.name}/{path.stem}"
+    return key, tier.load_entry(key)
+
+
+def test_failed_stores_count_and_return_false(tier, disk_faults):
+    """On a dead disk every store is attempted, fails, is counted and
+    returns False."""
+    key, entry = _stored(tier)
+    errors = get_metrics_registry().counter("cache.disk.errors")
+    before = errors.value
+    plan = disk_faults("write:enospc:path=entries")
+    for _ in range(5):
+        assert tier.store_entry(key, entry) is False
+    assert plan.injected_total == 5
+    assert tier.write_errors == 5
+    assert errors.value == before + 5
+
+
+def test_store_persists_once_the_disk_recovers(tier, disk_faults):
+    """Three failed stores, then the fourth persists at once: no
+    cooldown stands between a recovered disk and the next store."""
+    key, entry = _stored(tier)
+    puts = get_metrics_registry().counter("cache.disk.puts")
+    disk_faults("write:enospc:path=entries:count=3")
+    for _ in range(3):
+        assert tier.store_entry(key, entry) is False
+    before = puts.value
+    assert tier.store_entry(key, entry) is True
+    assert puts.value == before + 1
+    assert tier.write_errors == 3
+    assert tier.load_entry(key).checksum == entry.checksum
+
+
+def test_reads_are_served_while_stores_fail(tier, disk_faults):
+    key, entry = _stored(tier)
+    disk_faults("write:enospc:path=entries")
+    for _ in range(3):
+        assert tier.store_entry(key, entry) is False
+        loaded = tier.load_entry(key)
+        assert loaded is not None
+        assert loaded.checksum == entry.checksum
+
+
+def test_synthesis_survives_a_dead_disk_memory_only(tier, disk_faults):
+    """End to end: every disk write fails, results stay bit-identical."""
+    cache = _attach(tier)
+    disk_faults("write:enospc:path=entries")
+    spec = get("rd53")
+    first = synthesize_fprm(spec, SynthesisOptions(cache=True))
+    assert tier._entry_paths() == []  # nothing persisted
+    assert tier.write_errors == first.trace.cache_misses
+    # The memory tier above the dead disk still serves hits.
+    second = synthesize_fprm(spec, SynthesisOptions(cache=True))
+    assert write_blif(second.network) == write_blif(first.network)
+    assert cache.stats.hits > 0
 
 
 # -- gc / purge ---------------------------------------------------------------

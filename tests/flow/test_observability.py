@@ -136,7 +136,7 @@ def test_parallel_fallback_is_observable(monkeypatch):
     serial = synthesize_fprm(spec, SynthesisOptions(verify=False))
 
     def broken_pool(outputs, options, jobs):
-        return None, "BrokenProcessPool: injected for test"
+        return None, "BrokenProcessPool: injected for test", 0
 
     monkeypatch.setattr(synthesis_mod, "run_outputs_in_pool", broken_pool)
     result = synthesize_fprm(

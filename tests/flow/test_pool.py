@@ -78,14 +78,54 @@ def test_crash_fallback_counts_each_outputs_work_once(monkeypatch):
     before = fallbacks.value
 
     monkeypatch.setenv(CRASH_FAULT_ENV, f"{os.getpid()}:*")
-    recovered = synthesize_fprm(
-        spec, SynthesisOptions(verify=False, jobs=2, retries=0)
-    )
+    recovered = synthesize_fprm(spec, SynthesisOptions(verify=False, jobs=2))
 
     assert fallbacks.value - before == spec.num_outputs
+    pool_span = recovered.trace.root.find("parallel-map")
+    assert pool_span.attrs["recovered"] == spec.num_outputs
     assert recovered.trace.metrics == serial.trace.metrics
     assert recovered.trace.metrics.get("ofdd.apply.calls", 0) > 0
     assert write_blif(recovered.network) == write_blif(serial.network)
+
+
+def test_one_pool_then_one_in_process_run_per_lost_output(monkeypatch):
+    """A crash on one output ends the one pool the call builds; every
+    output without a pool result then runs once in-process, and the
+    BLIF is byte-identical to serial."""
+    spec = get("z4ml")
+    serial = synthesize_fprm(spec, SynthesisOptions(verify=False))
+    pools = []
+    in_process = []
+    new_pool, runner = parallel._new_pool, parallel.run_output
+
+    def spy_pool(workers):
+        pools.append(workers)
+        return new_pool(workers)
+
+    def spy_runner(output, options):
+        # Forked workers inherit the spy, but their appends stay in
+        # their own memory: this list sees in-process runs only.
+        in_process.append(output.name)
+        return runner(output, options)
+
+    monkeypatch.setattr(parallel, "_new_pool", spy_pool)
+    monkeypatch.setattr(parallel, "run_output", spy_runner)
+    crashing = spec.outputs[0].name
+    monkeypatch.setenv(CRASH_FAULT_ENV, f"{os.getpid()}:{crashing}")
+    result = synthesize_fprm(spec, SynthesisOptions(verify=False, jobs=2))
+
+    assert pools == [2]
+    assert crashing in in_process
+    assert len(set(in_process)) == len(in_process)  # once each
+    pool_span = result.trace.root.find("parallel-map")
+    assert pool_span.attrs["recovered"] == len(in_process)
+    # Each output ran in exactly one place: its span is a worker's or
+    # this process's.
+    by_pool = {node.name.removeprefix("output:")
+               for node in pool_span.children if node.pid != os.getpid()}
+    assert by_pool.isdisjoint(in_process)
+    assert by_pool | set(in_process) == set(spec.output_names)
+    assert write_blif(result.network) == write_blif(serial.network)
 
 
 def test_serial_fork_and_spawn_pools_agree(monkeypatch):

@@ -1,4 +1,4 @@
-"""ServeClient backpressure retries: Retry-After honored, capped, bounded."""
+"""ServeClient backpressure retries: Retry-After honored, clamped, bounded."""
 
 import asyncio
 
@@ -7,15 +7,18 @@ import pytest
 from repro.circuits import get
 from repro.errors import OverloadedError
 from repro.expr.pla import pla_from_spec, write_pla
-from repro.resilience.retry import RetryPolicy
-from repro.serve.client import ServeClient
+from repro.serve.client import (
+    MAX_BACKOFF_SECONDS,
+    MIN_BACKOFF_SECONDS,
+    ServeClient,
+)
 from repro.serve.server import ReproServer
 
 
-def flaky_client(retries: int, failures: list[Exception],
-                 **kwargs) -> tuple[ServeClient, list[float], list[dict]]:
+def flaky_client(retries: int, failures: list[Exception]
+                 ) -> tuple[ServeClient, list[float], list[dict]]:
     """A client whose ``_request`` raises the queued failures first."""
-    client = ServeClient("http://test.invalid", retries=retries, **kwargs)
+    client = ServeClient("http://test.invalid", retries=retries)
     sleeps: list[float] = []
     calls: list[dict] = []
     client._sleep = sleeps.append
@@ -47,10 +50,8 @@ def test_retries_absorb_backpressure_then_succeed():
     assert doc == {"state": "done"}
     assert len(calls) == 3
     assert client.backoff_retries == 2
-    assert len(sleeps) == 2
-    # The server's Retry-After is the floor of each sleep.
-    assert sleeps[0] >= 2.0
-    assert sleeps[1] >= 1.0
+    # Each sleep is the server's Retry-After (inside the clamp).
+    assert sleeps == [2.0, 1.0]
 
 
 def test_raises_after_retry_budget_spent():
@@ -62,27 +63,22 @@ def test_raises_after_retry_budget_spent():
     assert client.backoff_retries == 2
 
 
-def test_retry_after_is_capped_by_policy_max_delay():
-    policy = RetryPolicy(max_retries=1, base_delay=0.1, max_delay=0.5)
+def test_retry_after_is_clamped_to_the_cap():
     client, sleeps, _ = flaky_client(
-        1, [OverloadedError("queue_full", 60.0)], retry_policy=policy)
+        1, [OverloadedError("queue_full", 60.0)])
     client._request_with_backoff("POST", "/synthesize", {})
     # A drowning server may advertise a minute; the client will not
     # stall that long per attempt.
-    assert sleeps == [0.5]
+    assert sleeps == [MAX_BACKOFF_SECONDS] == [5.0]
 
 
-def test_policy_backoff_is_floor_when_retry_after_is_tiny():
-    policy = RetryPolicy(max_retries=4, base_delay=1.0, max_delay=30.0)
+def test_tiny_retry_after_sleeps_the_floor():
     client, sleeps, _ = flaky_client(
-        4, [OverloadedError("queue_full", 0.001)] * 4, retry_policy=policy)
+        2, [OverloadedError("queue_full", 0.001),
+            OverloadedError("queue_full", 0.0)])
     client._request_with_backoff("POST", "/synthesize", {})
-    # Exponential shape survives a near-zero Retry-After, jitter in
-    # [0.5, 1.0) of the capped 2^(n-1) step.
-    assert len(sleeps) == 4
-    assert all(s >= 0.5 for s in sleeps)
-    assert sleeps == [min(30.0, max(0.001, policy.delay(n)))
-                      for n in range(1, 5)]
+    # A near-zero Retry-After must not busy-spin the daemon.
+    assert sleeps == [MIN_BACKOFF_SECONDS] * 2 == [0.1, 0.1]
 
 
 def test_non_backpressure_errors_are_not_retried():
@@ -107,10 +103,7 @@ def test_http_round_trip_retries_through_full_queue():
 
         def scenario():
             client = ServeClient(f"http://127.0.0.1:{server.port}",
-                                 retries=2,
-                                 retry_policy=RetryPolicy(
-                                     max_retries=2, base_delay=0.01,
-                                     max_delay=0.05))
+                                 retries=2)
             # First attempt is shed with a real HTTP 503; the queue has
             # room again before the retry fires.
             client._sleep = lambda _: server.queue._inflight.pop("held/key")

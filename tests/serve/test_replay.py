@@ -1,6 +1,7 @@
 """Spool replay through the real server: boot-time re-enqueue."""
 
 import asyncio
+import json
 import os
 import time
 
@@ -80,6 +81,26 @@ def test_boot_replays_unfinished_jobs(tmp_path):
     # nothing left to replay.
     replayed_again, _ = boot_and_wait(state_dir, expect_done=0)
     assert replayed_again == 0
+
+
+def test_spooled_retries_option_replays(tmp_path):
+    """A schema-2 entry spooled by a daemon whose pool still had retry
+    rounds carries ``retries`` in its options: it replays, it is not
+    moved to failed/."""
+    state_dir = str(tmp_path / "state")
+    os.makedirs(state_dir)
+    spool = RequestSpool(state_dir)
+    spool.add(request_key="old", circuit="rd53", pla=pla_text("rd53"),
+              options={"retries": 3, "verify": True}, client="ci")
+    with open(spool.path_for("old"), encoding="utf-8") as handle:
+        assert json.load(handle)["schema"] == 2
+
+    replayed, [job] = boot_and_wait(state_dir, expect_done=1)
+    assert replayed == 1
+    assert job["replayed"] is True
+    assert job["state"] == "done"
+    assert spool.failed() == []
+    assert spool.pending_keys() == []
 
 
 def test_poisoned_journal_entry_does_not_block_boot(tmp_path):

@@ -7,6 +7,7 @@ threads so concurrent submissions genuinely race.
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -55,6 +56,16 @@ def test_concurrent_identical_jobs_deduplicate():
     pla = pla_text("rd53")
 
     def scenario(client, server):
+        # Hold the synthesis until both submissions have arrived, so
+        # the second one always finds the first in flight.
+        both_in = threading.Event()
+        synthesize = server.engine.synthesize
+
+        def gated(*args, **kwargs):
+            both_in.wait(30)
+            return synthesize(*args, **kwargs)
+
+        server.engine.synthesize = gated
         results = [None, None]
 
         def submit(i):
@@ -64,6 +75,13 @@ def test_concurrent_identical_jobs_deduplicate():
                    for i in range(2)]
         for t in threads:
             t.start()
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            jobs = client.jobs()["jobs"]
+            if sum(job["submissions"] for job in jobs) == 2:
+                break
+            time.sleep(0.01)
+        both_in.set()
         for t in threads:
             t.join()
         return results, server.queue.synth_calls
@@ -134,6 +152,24 @@ def test_priority_field_is_ignored_like_any_unknown_field():
     assert done["state"] == "done"
     assert done["client"] == "batch"
     assert "priority" not in done
+
+
+def test_retries_option_is_accepted_and_ignored():
+    # Clients written when the pool had retry rounds still send
+    # ``retries``; the request is served under the same key as without it.
+    assert options_from_json({"retries": 3, "verify": False}) \
+        == {"verify": False}
+    pla = pla_text("rd53")
+
+    def scenario(client, server):
+        old = client.synthesize(pla, name="rd53", options={"retries": 3})
+        plain = client.synthesize(pla, name="rd53")
+        return old, plain
+
+    old, plain = run_with_server(scenario)
+    assert old["state"] == "done"
+    assert old["key"] == plain["key"]
+    assert old["result"]["blif"] == plain["result"]["blif"]
 
 
 def test_queue_runs_jobs_in_submission_order():
@@ -216,7 +252,7 @@ def test_failed_job_reports_error():
     with pytest.raises(ValueError, match="unknown option"):
         options_from_json({"trace": True})
     with pytest.raises(ValueError, match="bad value"):
-        options_from_json({"retries": "many"})
+        options_from_json({"jobs": "many"})
     assert options_from_json({"verify": False, "jobs": 2}) \
         == {"verify": False, "jobs": 2}
 

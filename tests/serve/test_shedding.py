@@ -9,11 +9,11 @@ import urllib.request
 import pytest
 
 from repro.circuits import get
-from repro.engine import SynthesisEngine
+from repro.engine import EngineConfig, SynthesisEngine
 from repro.errors import OverloadedError
 from repro.expr.pla import pla_from_spec, write_pla
+from repro.flow.disk_cache import DiskCacheTier
 from repro.obs.metrics import get_metrics_registry
-from repro.resilience.breaker import CircuitBreaker
 from repro.serve.client import ServeClient
 from repro.serve.health import HealthMonitor
 from repro.serve.jobs import JobQueue
@@ -76,14 +76,13 @@ def test_replayed_submission_is_never_shed(engine):
     assert job.replayed
 
 
-def test_degraded_gauge_tracks_mode():
-    breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=1000.0)
-    monitor = HealthMonitor(breaker=breaker)
+def test_degraded_gauge_tracks_mode(tmp_path):
+    spool = RequestSpool(str(tmp_path / "state"))
+    monitor = HealthMonitor(spool=spool)
     gauge = get_metrics_registry().gauge("serve.degraded", "")
-    breaker.record_failure()
+    spool.write_errors += 1
     monitor.check()
     assert gauge.value == 1
-    breaker.record_success()
     monitor.check()
     assert gauge.value == 0
 
@@ -141,14 +140,30 @@ def test_fresh_journal_write_errors_degrade_then_clear(tmp_path):
     assert monitor.check() == ["journal-write-errors"]
 
 
-def test_open_cache_breaker_degrades_until_it_closes():
-    breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=1000.0)
-    monitor = HealthMonitor(breaker=breaker)
+def test_fresh_cache_write_errors_degrade_then_clear(tmp_path):
+    tier = DiskCacheTier(tmp_path / "cache")
+    spool = RequestSpool(str(tmp_path / "state"))
+    monitor = HealthMonitor(spool=spool, disk_cache=tier)
     assert monitor.check() == []
-    breaker.record_failure()
-    assert monitor.check() == ["cache-breaker-open"]
-    breaker.record_success()
+    tier.write_errors += 1  # a cache store failed since the last sample
+    assert monitor.check() == ["cache-write-errors"]
     assert monitor.check() == []
+    # Each source is sampled on its own.
+    tier.write_errors += 2
+    spool.write_errors += 1
+    assert monitor.check() == ["journal-write-errors", "cache-write-errors"]
+    assert monitor.check() == []
+
+
+def test_daemon_reports_its_disk_tier_write_errors(tmp_path):
+    server = ReproServer(EngineConfig(cache_dir=str(tmp_path / "cache")),
+                         port=0)
+    try:
+        assert server.health.check() == []
+        server.engine.disk_tier.write_errors += 1
+        assert server.health.check() == ["cache-write-errors"]
+    finally:
+        server.engine.close()
 
 
 def test_reason_counter_counts_transitions_not_samples(tmp_path):
