@@ -1,4 +1,10 @@
-"""Knobs of the FPRM synthesis flow."""
+"""Knobs of the FPRM synthesis flow.
+
+:class:`SynthesisOptions` is the one source of every run value: the
+CLIs, the serve JSON and library callers all set it, and no environment
+variable overrides a field.  Limits no caller varies are module
+constants below.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +12,14 @@ import enum
 from dataclasses import dataclass
 
 from repro.fprm.polarity import PolarityStrategy
+
+#: Largest FPRM form whose cube-subset unions the ``ENUMERATION`` engine
+#: adds to the simulated patterns; a larger form adds none.
+ENUMERATION_CUBE_LIMIT = 14
+
+#: Node limit of each redundancy remover's exact BDD engine; an output
+#: whose BDD outgrows it is left unreduced (``skipped_no_engine``).
+BDD_NODE_BUDGET = 200_000
 
 
 class FactorMethod(str, enum.Enum):
@@ -48,9 +62,6 @@ class SynthesisOptions:
     literal_cleanup: bool = True
     controllability: ControllabilityEngine = ControllabilityEngine.BDD
     cube_limit: int = 2048
-    enumeration_cube_limit: int = 14
-    bdd_node_budget: int = 200_000
-    direct_fallback: bool = True
     verify: bool = True
     #: Outputs synthesized concurrently (process pool); 0 = all cores.
     jobs: int = 1
@@ -65,15 +76,14 @@ class SynthesisOptions:
     profile_interval: float = 0.005
     #: Consult/populate the process-wide per-output result cache.
     cache: bool = False
-    #: Wall-clock budget for the whole run (seconds); ``None`` = unlimited
-    #: (the ``REPRO_BUDGET_SECONDS`` env var can impose one externally).
+    #: Wall-clock budget for the whole run (seconds); ``None`` = unlimited.
     #: On exhaustion stages degrade to cheaper-but-correct results instead
     #: of failing — see docs/RESILIENCE.md for the ladder.
     budget_seconds: float | None = None
     #: Watchdog for hung pool workers: if no output completes for this
     #: many seconds, the pool is killed and its unfinished outputs run
-    #: in-process (``None`` = disabled; ``REPRO_TIMEOUT_PER_OUTPUT`` env
-    #: var supplies a default).  Parallel runs only.
+    #: in-process (``None`` or a non-positive value = disabled).
+    #: Parallel runs only.
     timeout_per_output: float | None = None
 
     def replace(self, **changes) -> "SynthesisOptions":
@@ -100,7 +110,9 @@ class SynthesisOptions:
             self.literal_cleanup,
             str(self.controllability.value),
             self.cube_limit,
-            self.enumeration_cube_limit,
-            self.bdd_node_budget,
-            self.direct_fallback,
+            # Former option fields, now fixed: their values stay in the
+            # tuple so every cache and request key stays the same.
+            ENUMERATION_CUBE_LIMIT,
+            BDD_NODE_BUDGET,
+            True,  # the direct-specification fallback, always on
         )

@@ -53,7 +53,12 @@ from dataclasses import dataclass, field
 
 from repro.bdd.manager import BddManager
 from repro.core import tree as tr
-from repro.core.options import ControllabilityEngine, SynthesisOptions
+from repro.core.options import (
+    BDD_NODE_BUDGET,
+    ENUMERATION_CUBE_LIMIT,
+    ControllabilityEngine,
+    SynthesisOptions,
+)
 from repro.core.parity_analysis import cube_union_patterns
 from repro.core.patterns import full_pattern_set
 from repro.core.tree import TNode
@@ -158,8 +163,7 @@ class SimulationPatterns:
         if options.controllability is ControllabilityEngine.ENUMERATION \
                 and form is not None:
             try:
-                unions = cube_union_patterns(
-                    form, options.enumeration_cube_limit)
+                unions = cube_union_patterns(form, ENUMERATION_CUBE_LIMIT)
             except ValueError:
                 unions = []  # a form over the limit adds no patterns
             seen: set[int] = set()
@@ -206,7 +210,7 @@ class RedundancyRemover:
         # normalized as it goes.
         self.root = tr.simplify_tree(self.root)
         try:
-            self._bdd = BddManager(self.n, node_limit=self.options.bdd_node_budget)
+            self._bdd = BddManager(self.n, node_limit=BDD_NODE_BUDGET)
             analysis = self._analyze()
             self._original_bdd = analysis.bdds[id(self.root)]
         except ReproError:

@@ -16,7 +16,10 @@ discovered by the redundancy remover (Section 4 notes the two mechanisms
 find the same simplifications: ``(B⊕C)⊕BC = (B+C)+BC = B+C``).
 
 Each ``try_rule_*`` inspects a set of cube masks and, on a match, returns
-the rewritten expression together with the consumed cubes.
+the rewritten expression together with the consumed cubes.  Rule (c) has
+no cube-level matcher: B̄ is not a cube of a positive-polarity FPRM cube
+set, so the redundancy remover finds these reductions instead, and only
+its expression-level form :func:`reduce_rule_c_expr` is here.
 """
 
 from __future__ import annotations
@@ -62,14 +65,6 @@ def try_rule_b(masks: set[int]) -> tuple[ex.Expr, set[int]] | None:
                     [cube_expr(a), ex.or_([cube_expr(b), cube_expr(c)])]
                 )
                 return expr, {ab, ac, abc}
-    return None
-
-
-def try_rule_c(masks: set[int]) -> tuple[ex.Expr, set[int]] | None:
-    """(c) AB ⊕ B̄ — not expressible inside a positive-polarity FPRM cube
-    set (B̄ is not a cube there), so the cube-level matcher never fires;
-    the redundancy remover discovers these reductions instead.  Kept for
-    expression-level use in tests and the standalone rule API."""
     return None
 
 

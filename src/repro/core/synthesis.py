@@ -49,11 +49,7 @@ from repro.obs.manifest import RunManifest
 from repro.obs.metrics import get_metrics_registry
 from repro.obs.prof.profiler import Profile, SamplingProfiler
 from repro.obs.spans import Span, SpanTracer, install, span as obs_span, uninstall
-from repro.resilience.budget import (
-    Budget,
-    effective_budget_seconds,
-    install_budget,
-)
+from repro.resilience.budget import Budget, install_budget
 from repro.spec import CircuitSpec, OutputSpec
 
 __all__ = [
@@ -106,8 +102,8 @@ class FprmSynthesizer:
         previous = install(tracer) if tracer is not None else None
         # The run budget is ambient for the whole flow (like the tracer);
         # pool workers get the same deadline shipped with their payload.
-        seconds = effective_budget_seconds(options.budget_seconds)
-        budget = Budget.start(seconds) if seconds is not None else None
+        budget = (Budget.start(options.budget_seconds)
+                  if options.budget_seconds is not None else None)
         previous_budget = install_budget(budget) if budget is not None else None
         # The sampling profiler rides along with the tracer (samples are
         # attributed to the open-span path, so it needs one); pool

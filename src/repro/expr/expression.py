@@ -259,15 +259,6 @@ def not_(arg: Expr) -> Expr:
     return Not(arg)
 
 
-def _complement_key(expr: Expr) -> tuple | None:
-    """A hashable key identifying expr up to complementation, plus phase."""
-    if isinstance(expr, Not):
-        return ("n", expr.arg)
-    if isinstance(expr, Lit):
-        return ("l", expr.var, expr.negated)
-    return None
-
-
 def and_(args: Iterable[Expr]) -> Expr:
     flat: list[Expr] = []
     seen: set[Expr] = set()
@@ -411,7 +402,3 @@ def _flatten(args: Iterable[Expr], kind: type) -> Iterable[Expr]:
         else:
             yield arg
 
-
-def expr_size(expr: Expr) -> int:
-    """Total node count of the tree (for diagnostics)."""
-    return 1 + sum(expr_size(child) for child in expr.children())

@@ -52,6 +52,7 @@ from repro.core.options import SynthesisOptions
 from repro.errors import CacheIntegrityError
 from repro.expr import expression as ex
 from repro.flow.context import OutputReport, OutputRun
+from repro.obs.manifest import options_fingerprint
 from repro.spec import OutputSpec
 
 
@@ -100,10 +101,7 @@ def output_digest(output: OutputSpec) -> str:
 
 def cache_key(output: OutputSpec, options: SynthesisOptions) -> str:
     """The full cache key: output content digest + options fingerprint."""
-    fingerprint = hashlib.sha256(
-        repr(options.semantic_fingerprint()).encode("utf-8")
-    ).hexdigest()[:16]
-    return f"{output_digest(output)}/{fingerprint}"
+    return f"{output_digest(output)}/{options_fingerprint(options)}"
 
 
 @dataclass

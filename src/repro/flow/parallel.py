@@ -10,8 +10,8 @@ as its own future, which is what makes the pool *crash-isolated*:
 * a worker that dies (``os._exit``, OOM kill, segfault) breaks the
   pool, but futures that already completed keep their results;
 * a worker that hangs trips a per-output watchdog (no completion within
-  ``timeout_per_output`` seconds), and the pool's processes are
-  terminated.
+  ``SynthesisOptions.timeout_per_output`` seconds, the window's one
+  source), and the pool's processes are terminated.
 
 Either way the pool is done: each call builds one, and every output
 without a pool result then runs once in-process through the same
@@ -41,7 +41,8 @@ Fault injection (used by the fuzz harness, guarded so it can never fire
 in production): ``REPRO_FAULT_WORKER_CRASH=<origin-pid>:<output-name>``
 makes a *pool worker* processing that output die via ``os._exit(1)``;
 ``REPRO_FAULT_WORKER_HANG=<origin-pid>:<output-name>:<seconds>`` makes
-it sleep.  The origin-pid guard (the fault only fires when
+it sleep.  They are environment variables because they must reach the
+worker processes.  The origin-pid guard (the fault only fires when
 ``os.getpid() != origin-pid``) keeps the in-process run clean, which is
 exactly the recovery story the fuzz lane asserts.
 """
@@ -83,9 +84,6 @@ SHIPPED_COUNTERS = ("ofdd.", "fprm.")
 #: package in every worker.  Tests patch this to run under ``spawn``.
 POOL_CONTEXT = multiprocessing.get_context("fork")
 
-#: Environment default for ``SynthesisOptions.timeout_per_output``.
-TIMEOUT_ENV = "REPRO_TIMEOUT_PER_OUTPUT"
-
 CRASH_FAULT_ENV = "REPRO_FAULT_WORKER_CRASH"
 HANG_FAULT_ENV = "REPRO_FAULT_WORKER_HANG"
 
@@ -103,24 +101,6 @@ def resolve_jobs(jobs: int) -> int:
         except (AttributeError, OSError):
             return os.cpu_count() or 1
     return max(1, jobs)
-
-
-def effective_timeout_per_output(explicit: float | None) -> float | None:
-    """Watchdog window: explicit option wins, else :data:`TIMEOUT_ENV`.
-
-    ``None`` (or a non-positive value) disables the watchdog; an
-    unparsable environment value is ignored rather than fatal.
-    """
-    if explicit is not None:
-        return explicit if explicit > 0 else None
-    raw = os.environ.get(TIMEOUT_ENV)
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            return None
-        return value if value > 0 else None
-    return None
 
 
 def _maybe_inject_fault(output_name: str) -> None:
@@ -270,7 +250,10 @@ def run_outputs_in_pool(
     ambient_context = current_run_context()
     context = ambient_context.as_dict() if ambient_context is not None \
         else None
-    timeout = effective_timeout_per_output(options.timeout_per_output)
+    # The watchdog window; ``None`` or a non-positive value disables it.
+    timeout = options.timeout_per_output
+    if timeout is not None and timeout <= 0:
+        timeout = None
     metrics = get_metrics_registry()
 
     try:

@@ -374,22 +374,21 @@ class InverterCleanupPass(OutputPass):
                 gates_after = rc.gates_after
                 gates_before = rc.gates_before
         used_direct = False
-        if ctx.options.direct_fallback:
-            direct = direct_expr(output)
-            if direct is not None:
-                direct_gates = expanded_gate_count(direct)
-                scored.append((
-                    direct_gates, "direct",
-                    minimize_inverters_guarded(direct, output.width, memo),
-                ))
-                if direct_gates < gates_after:
-                    # The FPRM route lost to the input specification itself
-                    # (mux/unate-heavy cones); keep the original structure —
-                    # the FPRM form is "only the initial specification"
-                    # (paper Section 1).
-                    method = f"{method}+direct"
-                    gates_after = direct_gates
-                    used_direct = True
+        direct = direct_expr(output)
+        if direct is not None:
+            direct_gates = expanded_gate_count(direct)
+            scored.append((
+                direct_gates, "direct",
+                minimize_inverters_guarded(direct, output.width, memo),
+            ))
+            if direct_gates < gates_after:
+                # The FPRM route lost to the input specification itself
+                # (mux/unate-heavy cones); keep the original structure —
+                # the FPRM form is "only the initial specification"
+                # (paper Section 1).
+                method = f"{method}+direct"
+                gates_after = direct_gates
+                used_direct = True
         scored.sort(key=lambda item: item[0])
         ctx.variants = [(tag, expr) for _, tag, expr in scored]
         ctx.report = OutputReport(

@@ -21,7 +21,9 @@ Injection patches the *importing* module's bindings (``repro.flow.passes``
 and ``repro.core.synthesis`` import these names directly).  The pass
 faults reach the in-process flow, which is what the fault self-tests
 exercise; the key fault reaches pooled runs too, since the synthesis
-driver computes every cache key itself.
+driver computes every cache key itself.  The run faults below patch
+the options every run starts with (``FprmSynthesizer.run``), since the
+options are the only source of the budget and the watchdog window.
 
 The faults above are *detected* faults: the campaign must fail under
 them (``--expect-failure``).  The resilience faults below are
@@ -35,15 +37,18 @@ recovery paths end in spec-equivalent networks:
     once on the in-process serial path (the origin-pid guard keeps that
     path clean).
 ``worker-hang``
-    Every pool worker sleeps past the per-output watchdog window (also
-    armed by this fault); the pool is killed and the outputs recovered
-    serially.
+    Every pool worker sleeps past the per-output watchdog window, which
+    this fault sets to 0.5 s on every run; the pool is killed and the
+    outputs recovered serially.
 ``cache-corrupt-entry``
     Every ``ResultCache.store`` tampers with the entry after its
     checksum is taken; lookups must quarantine and recompute.
 ``budget-starvation``
-    ``REPRO_BUDGET_SECONDS=0`` starves every run, forcing the whole
+    Every run gets ``budget_seconds=0``, forcing the whole
     effort-degradation ladder; results must stay spec-equivalent.
+
+The worker faults set the ``REPRO_FAULT_WORKER_*`` hooks of
+:mod:`repro.flow.parallel`, which must cross into the pool's processes.
 """
 
 from __future__ import annotations
@@ -116,22 +121,34 @@ def _fault_cache_key_collision() -> Iterator[None]:
 
 
 @contextlib.contextmanager
-def _set_env(**values: str | None) -> Iterator[None]:
-    """Temporarily set (or with ``None``, unset) environment variables."""
-    saved = {key: os.environ.get(key) for key in values}
+def _set_env(key: str, value: str) -> Iterator[None]:
+    """Temporarily set one environment variable."""
+    saved = os.environ.get(key)
+    os.environ[key] = value
     try:
-        for key, value in values.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
         yield
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop(key, None)
+        else:
+            os.environ[key] = saved
+
+
+@contextlib.contextmanager
+def _run_with(**changes) -> Iterator[None]:
+    """Start every synthesis run with ``changes`` applied to its options."""
+    from repro.core.synthesis import FprmSynthesizer
+
+    original = FprmSynthesizer.run
+
+    def faulty(self, spec):
+        return original(FprmSynthesizer(self.options.replace(**changes)), spec)
+
+    FprmSynthesizer.run = faulty
+    try:
+        yield
+    finally:
+        FprmSynthesizer.run = original
 
 
 @contextlib.contextmanager
@@ -140,19 +157,19 @@ def _fault_worker_crash() -> Iterator[None]:
 
     # The origin pid is this process: the fault fires only in forked
     # pool workers, so the in-process recovery path stays clean.
-    with _set_env(**{CRASH_FAULT_ENV: f"{os.getpid()}:*"}):
+    with _set_env(CRASH_FAULT_ENV, f"{os.getpid()}:*"):
         yield
 
 
 @contextlib.contextmanager
 def _fault_worker_hang() -> Iterator[None]:
-    from repro.flow.parallel import HANG_FAULT_ENV, TIMEOUT_ENV
+    from repro.flow.parallel import HANG_FAULT_ENV
 
     # Sleep far past the watchdog window this fault also arms; the pool
     # must kill the hung workers and recover the outputs serially.
-    with _set_env(**{HANG_FAULT_ENV: f"{os.getpid()}:*:30",
-                     TIMEOUT_ENV: "0.5"}):
-        yield
+    with _set_env(HANG_FAULT_ENV, f"{os.getpid()}:*:30"):
+        with _run_with(timeout_per_output=0.5):
+            yield
 
 
 @contextlib.contextmanager
@@ -178,9 +195,7 @@ def _fault_cache_corrupt_entry() -> Iterator[None]:
 
 @contextlib.contextmanager
 def _fault_budget_starvation() -> Iterator[None]:
-    from repro.resilience.budget import BUDGET_ENV
-
-    with _set_env(**{BUDGET_ENV: "0"}):
+    with _run_with(budget_seconds=0.0):
         yield
 
 

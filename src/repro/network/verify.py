@@ -78,27 +78,6 @@ def _compare(got: np.ndarray, want: np.ndarray, spec: CircuitSpec,
     return VerifyResult(True, method)
 
 
-def network_output_bdds(net: Network, manager: BddManager) -> list[int]:
-    """BDDs of all network outputs (manager variable i = PI i)."""
-    values: dict[int, int] = {0: 0, 1: 1}
-    for node in net.live_nodes():
-        gate = net.type_of(node)
-        if gate is GateType.PI:
-            values[node] = manager.var(net.pi_index(node))
-        elif gate is GateType.NOT:
-            values[node] = manager.not_(values[net.fanin(node)[0]])
-        elif gate is GateType.AND:
-            a, b = net.fanin(node)
-            values[node] = manager.and_(values[a], values[b])
-        elif gate is GateType.OR:
-            a, b = net.fanin(node)
-            values[node] = manager.or_(values[a], values[b])
-        elif gate is GateType.XOR:
-            a, b = net.fanin(node)
-            values[node] = manager.xor_(values[a], values[b])
-    return [values[out] for out in net.outputs]
-
-
 def _bdd_check(net: Network, spec: CircuitSpec) -> VerifyResult:
     """Per-output BDD comparison over the output's *local* support.
 

@@ -18,12 +18,15 @@ The pieces and how they fit:
   the ambient run context.
 * :mod:`repro.obs.manifest` — run manifests (input digest, options
   fingerprint, package/python/platform) attached to every
-  ``SynthesisResult`` and embedded in trace JSON.
+  ``SynthesisResult`` and embedded in trace JSON; its
+  ``options_fingerprint`` is also the options part of every cache key.
 * :mod:`repro.obs.schema` — versioned golden schemas plus a dependency-
   free validator for trace/manifest/metrics/profile documents.
 * :mod:`repro.obs.chrome` — Chrome trace-event (Perfetto) export.
-* :mod:`repro.obs.cli` — the ``repro-trace`` tool (summarize, diff,
-  export, profile); not imported here so the library import stays light.
+* :mod:`repro.obs.cli` — the ``repro-trace`` tool (summarize, profile,
+  export, validate), the one command line over these documents; not
+  imported here so the library import stays light.  Runs are compared
+  by the benchmark (``python -m bench.compare``), not here.
 
 ``FlowTrace`` (:mod:`repro.flow.trace`) is a view over the span tree
 these pieces build; see ``docs/OBSERVABILITY.md`` for the full story.

@@ -1,4 +1,4 @@
-"""``repro-trace`` — inspect, diff and export flow-trace JSON.
+"""``repro-trace`` — inspect, validate and export flow-trace JSON.
 
 Subcommands::
 
@@ -15,14 +15,6 @@ Subcommands::
         document.  With ``-o`` the extension picks the format
         (``.collapsed``/``.folded`` vs anything else).
 
-    repro-trace diff OLD.json NEW.json [--threshold 0.2] [--min-seconds S]
-        Compare per-pass wall-time between two traces.  Exits 1 when any
-        pass slowed down by at least ``threshold`` (relative, 0.2 = 20%)
-        and by at least ``--min-seconds`` absolute; exits 0 otherwise.
-        Warns (but still compares) when the embedded run manifests say
-        the traces are not comparable — different inputs, options or
-        package versions.
-
     repro-trace export RUN.json --chrome [-o OUT.json]
         Emit Chrome trace-event JSON, loadable in ``chrome://tracing``
         or https://ui.perfetto.dev.
@@ -33,8 +25,10 @@ Subcommands::
 ``summary`` and ``export`` read the trace's span tree; a document
 without one (not written by this program) is unreadable input.
 
-Exit codes: 0 success / no regression; 1 regression or invalid document;
-2 unreadable input or usage error.
+Comparing runs is the benchmark's job (``python -m bench.compare``).
+
+Exit codes: 0 success; 1 invalid document (or no profile samples);
+2 unreadable input or usage error, with the message on stderr.
 """
 
 from __future__ import annotations
@@ -44,37 +38,21 @@ import json
 import sys
 
 from repro.obs.chrome import trace_to_chrome_json
-from repro.obs.manifest import RunManifest
 from repro.obs.schema import validate_manifest, validate_metrics, validate_trace
 
-__all__ = ["diff_traces", "main"]
+__all__ = ["main"]
 
 
 def _load(path: str) -> dict:
+    """The JSON document at ``path``; :class:`ValueError` when unreadable,
+    which :func:`main` turns into exit code 2."""
     try:
         if path == "-":
             return json.load(sys.stdin)
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except (OSError, json.JSONDecodeError) as err:
-        raise SystemExit(f"repro-trace: cannot read {path}: {err}") from err
-
-
-def _seconds_by_pass(trace: dict) -> dict[str, float]:
-    """Per-pass totals, recomputed from records (robust to hand edits)."""
-    totals: dict[str, float] = {}
-    records = trace.get("records") or []
-    if records:
-        for record in records:
-            name = record.get("pass", "?")
-            totals[name] = totals.get(name, 0.0) + float(
-                record.get("seconds", 0.0)
-            )
-        return totals
-    return {
-        name: float(secs)
-        for name, secs in (trace.get("seconds_by_pass") or {}).items()
-    }
+        raise ValueError(f"cannot read {path}: {err}") from err
 
 
 # -- summary -----------------------------------------------------------------
@@ -165,96 +143,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- diff --------------------------------------------------------------------
-
-
-def diff_traces(
-    old: dict,
-    new: dict,
-    threshold: float = 0.2,
-    min_seconds: float = 0.0,
-) -> tuple[list[str], list[str]]:
-    """Compare per-pass wall-time of two trace documents.
-
-    Returns ``(regressions, notes)``: human-readable regression lines
-    (a pass at least ``threshold`` relatively *and* ``min_seconds``
-    absolutely slower in ``new``) and informational lines (manifest
-    incomparability, passes only present on one side, improvements).
-    """
-    regressions: list[str] = []
-    notes: list[str] = []
-
-    old_manifest, new_manifest = old.get("manifest"), new.get("manifest")
-    if old_manifest and new_manifest:
-        reasons = RunManifest.from_dict(old_manifest).comparable_to(
-            RunManifest.from_dict(new_manifest)
-        )
-        for reason in reasons:
-            notes.append(f"warning: traces may not be comparable: {reason}")
-    elif old_manifest or new_manifest:
-        notes.append("warning: only one trace carries a run manifest")
-
-    old_by_pass = _seconds_by_pass(old)
-    new_by_pass = _seconds_by_pass(new)
-    for name in sorted(set(old_by_pass) | set(new_by_pass)):
-        before = old_by_pass.get(name)
-        after = new_by_pass.get(name)
-        if before is None:
-            notes.append(f"pass only in new trace: {name} "
-                         f"({after:.4f}s)")
-            continue
-        if after is None:
-            notes.append(f"pass only in old trace: {name} "
-                         f"({before:.4f}s)")
-            continue
-        delta = after - before
-        if before <= 0.0:
-            if after > min_seconds > 0.0:
-                regressions.append(
-                    f"{name}: 0s -> {after:.4f}s"
-                )
-            continue
-        ratio = delta / before
-        if ratio >= threshold and delta >= min_seconds:
-            regressions.append(
-                f"{name}: {before:.4f}s -> {after:.4f}s "
-                f"(+{100.0 * ratio:.1f}%)"
-            )
-        elif ratio <= -threshold and -delta >= min_seconds:
-            notes.append(
-                f"improved: {name}: {before:.4f}s -> {after:.4f}s "
-                f"({100.0 * ratio:.1f}%)"
-            )
-    return regressions, notes
-
-
-def _cmd_diff(args: argparse.Namespace) -> int:
-    old, new = _load(args.old), _load(args.new)
-    regressions, notes = diff_traces(
-        old, new, threshold=args.threshold, min_seconds=args.min_seconds
-    )
-    for line in notes:
-        print(line)
-    if regressions:
-        print(f"{len(regressions)} pass(es) regressed "
-              f"(threshold {100.0 * args.threshold:.0f}%):")
-        for line in regressions:
-            print(f"  {line}")
-        return 1
-    old_total = sum(_seconds_by_pass(old).values())
-    new_total = sum(_seconds_by_pass(new).values())
-    print(f"no regression: pass totals {old_total:.4f}s -> {new_total:.4f}s "
-          f"(threshold {100.0 * args.threshold:.0f}%)")
-    return 0
-
-
 # -- export ------------------------------------------------------------------
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
     trace = _load(args.trace)
     if not args.chrome:
-        raise SystemExit("repro-trace export: --chrome is the only format")
+        raise ValueError("export: --chrome is the only format")
     document = trace_to_chrome_json(trace, indent=2)
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -291,7 +186,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-trace",
-        description="Inspect, diff and export repro flow traces.",
+        description="Inspect, validate and export repro flow traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -319,16 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="rows in the default hotspot summary")
     p_profile.set_defaults(func=_cmd_profile)
 
-    p_diff = sub.add_parser("diff", help="compare two traces for regressions")
-    p_diff.add_argument("old", help="baseline trace JSON")
-    p_diff.add_argument("new", help="candidate trace JSON")
-    p_diff.add_argument("--threshold", type=float, default=0.2,
-                        help="relative slowdown that fails (default 0.2)")
-    p_diff.add_argument("--min-seconds", type=float, default=0.0,
-                        help="ignore regressions smaller than this many "
-                             "absolute seconds (default 0)")
-    p_diff.set_defaults(func=_cmd_diff)
-
     p_export = sub.add_parser("export", help="export to another format")
     p_export.add_argument("trace", help="trace JSON file ('-' for stdin)")
     p_export.add_argument("--chrome", action="store_true",
@@ -350,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:  # e.g. a trace without a span tree
+    except ValueError as err:  # unreadable file, trace without span tree
         print(f"repro-trace: {err}", file=sys.stderr)
         return 2
 

@@ -4,13 +4,13 @@ A :class:`RunManifest` pins down everything needed to reproduce (or
 refuse to compare) a run: a content digest of the input specification,
 the semantic-options fingerprint, the package version and the
 python/platform it ran on.  Every :class:`~repro.core.synthesis.
-SynthesisResult` carries one, and it is embedded in the trace JSON so
-``repro-trace diff`` can warn when two traces came from different inputs
-or option sets — a 20% "regression" against a different circuit is not a
-regression.
+SynthesisResult` carries one, and it is embedded in the trace JSON, so a
+reader can tell whether two traces came from the same input and option
+set.
 
 Digests reuse the content-addressed machinery of the result cache
-(:func:`repro.flow.cache.output_digest`), so the manifest's input digest
+(:func:`repro.flow.cache.output_digest`), and the cache key's options
+part is :func:`options_fingerprint` itself, so the manifest's digests
 and the cache keys can never drift apart.
 """
 
@@ -40,7 +40,8 @@ def spec_digest(spec) -> str:
 
 
 def options_fingerprint(options) -> str:
-    """Digest of the semantic knobs (same basis as the result cache)."""
+    """Digest of the semantic knobs: the options part of every result
+    cache key, run manifest and serve request key."""
     return hashlib.sha256(
         repr(options.semantic_fingerprint()).encode("utf-8")
     ).hexdigest()[:16]
@@ -116,17 +117,3 @@ class RunManifest:
             schema=payload.get("schema", MANIFEST_SCHEMA_VERSION),
             extra=dict(payload.get("extra", {})),
         )
-
-    def comparable_to(self, other: "RunManifest") -> list[str]:
-        """Reasons two runs should *not* be compared (empty = comparable)."""
-        reasons = []
-        if self.input_digest != other.input_digest:
-            reasons.append("input digests differ")
-        if self.options_fingerprint != other.options_fingerprint:
-            reasons.append("options fingerprints differ")
-        if self.package_version != other.package_version:
-            reasons.append(
-                f"package versions differ "
-                f"({self.package_version} vs {other.package_version})"
-            )
-        return reasons

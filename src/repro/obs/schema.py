@@ -12,10 +12,10 @@ The validator is a deliberate 60-line subset of JSON Schema (``type``,
 numpy-only dependency footprint; errors come back as
 ``path: problem`` strings.
 
-Command-line use (CI)::
+Command-line use (CI) goes through ``repro-trace validate``::
 
-    python -m repro.obs.schema trace.json --kind trace
-    python -m repro.obs.schema BENCH_flow.json --kind metrics
+    repro-trace validate trace.json --kind trace
+    repro-trace validate BENCH_flow.json --kind metrics
 """
 
 from __future__ import annotations
@@ -252,37 +252,3 @@ def validate_metrics(payload: dict) -> list[str]:
 
 def validate_manifest(payload: dict) -> list[str]:
     return validate(payload, MANIFEST_SCHEMA)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.obs.schema FILE --kind trace|metrics|manifest``."""
-    import argparse
-    import json
-    import sys
-
-    parser = argparse.ArgumentParser(
-        prog="repro.obs.schema",
-        description="Validate an observability JSON artifact.",
-    )
-    parser.add_argument("file", help="JSON file to validate")
-    parser.add_argument("--kind", choices=["trace", "metrics", "manifest"],
-                        default="trace")
-    args = parser.parse_args(argv)
-    try:
-        with open(args.file, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError) as err:
-        print(f"{args.file}: unreadable: {err}", file=sys.stderr)
-        return 2
-    checker = {"trace": validate_trace, "metrics": validate_metrics,
-               "manifest": validate_manifest}[args.kind]
-    errors = checker(payload)
-    for error in errors:
-        print(f"{args.file}: {error}", file=sys.stderr)
-    if not errors:
-        print(f"{args.file}: valid {args.kind} document")
-    return 1 if errors else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

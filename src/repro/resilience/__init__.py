@@ -31,7 +31,6 @@ from repro.resilience.budget import (
     DegradationRecord,
     budget_tick,
     current_budget,
-    effective_budget_seconds,
     install_budget,
     note_degradation,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "DegradationRecord",
     "budget_tick",
     "current_budget",
-    "effective_budget_seconds",
     "install_budget",
     "note_degradation",
 ]

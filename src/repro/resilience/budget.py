@@ -1,9 +1,9 @@
 """Wall-clock budgets, cooperative deadline checks, degradation notes.
 
-A :class:`Budget` is created once per synthesis run (from
-``SynthesisOptions.budget_seconds`` or the ``REPRO_BUDGET_SECONDS``
-environment override) and installed *ambiently*, mirroring the span
-tracer in :mod:`repro.obs.spans`: hot loops call the module-level
+A :class:`Budget` is created once per synthesis run from
+``SynthesisOptions.budget_seconds``, the run budget's one source, and
+installed *ambiently*, mirroring the span tracer in
+:mod:`repro.obs.spans`: hot loops call the module-level
 :func:`budget_tick`, which is a single global read plus an integer
 increment when no budget is active, and a strided ``time.monotonic()``
 comparison when one is.  On exhaustion the check raises
@@ -19,7 +19,6 @@ per-run budget spans the process pool.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -31,18 +30,12 @@ __all__ = [
     "DegradationRecord",
     "budget_tick",
     "current_budget",
-    "effective_budget_seconds",
     "install_budget",
     "note_degradation",
 ]
 
 #: Checks between clock reads in :meth:`Budget.tick` (hot-loop stride).
 TICK_STRIDE = 256
-
-#: Environment override for the per-run budget (seconds, float).  Lets a
-#: deployment cap every run without touching call sites, and lets the
-#: ``budget-starvation`` fuzz fault starve the flow from outside.
-BUDGET_ENV = "REPRO_BUDGET_SECONDS"
 
 
 @dataclass
@@ -184,21 +177,3 @@ def note_degradation(stage: str, fallback: str, where: str = "") -> None:
     with obs_span("resilience-degrade", category="resilience") as node:
         if node is not None:
             node.set(stage=stage, fallback=fallback, where=where)
-
-
-def effective_budget_seconds(explicit: float | None) -> float | None:
-    """The run budget: the explicit option, else the env override.
-
-    An explicit ``budget_seconds`` on the options always wins; otherwise
-    :data:`BUDGET_ENV` (unparsable values are ignored) lets operators —
-    and the ``budget-starvation`` fault injection — impose one globally.
-    """
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        return None

@@ -13,7 +13,7 @@ and SIGKILL the process while most of them are still queued.  Restart
 a daemon on the same state/cache directories and assert that
 
 1. the boot replayed the unfinished backlog
-   (``serve_journal_replayed`` > 0 and ``/healthz`` agrees);
+   (``serve_spool_replayed`` > 0 and ``/healthz`` agrees);
 2. every submitted circuit reaches ``done`` without being resubmitted;
 3. each BLIF is byte-equal to an in-process reference synthesis —
    the crash changed *when* the answers arrived, not *what* they are.
@@ -23,7 +23,7 @@ cache/state directory, submit the *same* fresh circuit to both, and
 assert the results are bit-identical while the combined
 ``engine_requests_fresh`` across both daemons is exactly 1: the key
 lock made one daemon do the work and the other answer from the shared
-cache (``serve_lease_acquired`` confirms both took the lock).
+cache (``serve_lock_acquired`` confirms both took the lock).
 
 **Phase C — disk faults under SIGKILL.**  Boot a daemon with a
 :mod:`repro.resilience.faultfs` plan injected via ``REPRO_FAULTFS``:
@@ -32,7 +32,7 @@ pending-request spool write is torn mid-write, and one spool rename
 fails with ``EIO``.  Assert that every job still completes with BLIF
 byte-equal to the reference (the failed stores only cost persistence),
 that ``cache_disk_errors`` counted exactly the three failed stores and
-``journal_write_errors`` both spool faults, and that once the plan is
+``serve_spool_write_errors`` both spool faults, and that once the plan is
 spent the next circuit's entries persist at once.  Then SIGKILL the
 daemon mid-traffic, restart it clean, assert the backlog completes
 bit-identically, and finish by checking that the drained daemon left
@@ -229,9 +229,9 @@ def phase_a_crash_restart(circuits: list[str],
                     _stop_daemon(proc)
                     continue
                 _check(replayed > 0,
-                       "restart found nothing to replay in the journal")
-                # Jobs finished before the kill are terminal in the
-                # journal and stay finished (their results sit in the
+                       "restart found nothing to replay in the spool")
+                # Jobs finished before the kill are gone from the
+                # spool and stay finished (their results sit in the
                 # shared cache); only the unfinished backlog reappears.
                 pending = sorted({job["circuit"]
                                   for job in client.jobs()["jobs"]})
@@ -247,8 +247,8 @@ def phase_a_crash_restart(circuits: list[str],
                     _check(job["result"]["blif"] == references[name],
                            f"{name}: replayed BLIF differs from reference")
                 metrics = client.metrics()
-                _check(_metric(metrics, "serve_journal_replayed") > 0,
-                       "serve_journal_replayed metric is zero")
+                _check(_metric(metrics, "serve_spool_replayed") > 0,
+                       "serve_spool_replayed metric is zero")
                 print(f"gauntlet A: {replayed} jobs replayed, all "
                       "bit-identical to references", flush=True)
             finally:
@@ -290,8 +290,8 @@ def phase_b_two_daemons(circuit: str, plas: dict[str, str],
             _check(fresh == 1.0,
                    f"expected exactly one fresh synthesis across both "
                    f"daemons, saw {fresh:g}")
-            locks = (_metric(metrics_a, "serve_lease_acquired")
-                     + _metric(metrics_b, "serve_lease_acquired"))
+            locks = (_metric(metrics_a, "serve_lock_acquired")
+                     + _metric(metrics_b, "serve_lock_acquired"))
             _check(locks >= 2.0,
                    f"expected both daemons to take the key lock, saw "
                    f"{locks:g}")
@@ -339,7 +339,7 @@ def phase_c_disk_faults(circuits: list[str], plas: dict[str, str],
             _check(errors == 3,
                    f"expected the 3 injected ENOSPC stores to count as "
                    f"cache_disk_errors, saw {errors:g}")
-            _check(_metric(metrics, "journal_write_errors") >= 2,
+            _check(_metric(metrics, "serve_spool_write_errors") >= 2,
                    "the spool write errors were not counted")
             # The ENOSPC rule is spent: the probe circuit's entries
             # persist at once.

@@ -60,8 +60,7 @@ class HealthMonitor:
         #: Reason -> a source counting its lost writes in ``write_errors``.
         self._writers: dict[str, RequestSpool | DiskCacheTier] = {}
         if spool is not None:
-            # "journal" predates the spool; dashboards read the name.
-            self._writers["journal-write-errors"] = spool
+            self._writers["spool-write-errors"] = spool
         if disk_cache is not None:
             self._writers["cache-write-errors"] = disk_cache
         self._errors_seen = {

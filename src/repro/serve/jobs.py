@@ -328,24 +328,20 @@ class JobQueue:
             install_run_context(previous)
 
     async def _lock(self, job: Job) -> KeyLock:
-        """Take the job's key lock, polling while a peer daemon holds it.
-
-        The metric names predate the lock (it replaced lease files);
-        dashboards and the gauntlet read them.
-        """
+        """Take the job's key lock, polling while a peer daemon holds it."""
         assert self.spool is not None
         lock = self.spool.try_lock(job.key)
         if lock is None:
             self._registry.counter(
-                "serve.lease.waits",
+                "serve.lock.waits",
                 "jobs that waited for a peer daemon's key lock",
             ).inc()
-            log_event("serve.lease.wait", job=job.id, request_key=job.key)
+            log_event("serve.lock.wait", job=job.id, request_key=job.key)
             while lock is None:
                 await asyncio.sleep(_LOCK_POLL_SECONDS)
                 lock = self.spool.try_lock(job.key)
         self._registry.counter(
-            "serve.lease.acquired", "key locks taken before running"
+            "serve.lock.acquired", "key locks taken before running"
         ).inc()
         return lock
 

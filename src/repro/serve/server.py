@@ -127,11 +127,11 @@ class ReproServer:
         report = spool.replay()
         if report.skipped_schema:
             registry.counter(
-                "serve.journal.skipped_schema",
+                "serve.spool.skipped_schema",
                 "spool entries with an unknown (newer) schema version",
             ).inc(report.skipped_schema)
         errors = registry.counter(
-            "serve.journal.replay_errors",
+            "serve.spool.replay_errors",
             "spool entries that failed to re-enqueue (moved to failed/)",
         )
         errors.inc(report.failed)
@@ -148,7 +148,7 @@ class ReproServer:
                 error = f"{type(exc).__name__}: {exc}"
                 spool.fail(key, error)
                 errors.inc()
-                log_event("serve.journal.replay_error",
+                log_event("serve.spool.replay_error",
                           request_key=key, error=error)
                 continue
             if job.key != key:
@@ -162,10 +162,10 @@ class ReproServer:
                 spool.remove(key)
             self.replayed += 1
             registry.counter(
-                "serve.journal.replayed",
+                "serve.spool.replayed",
                 "unfinished spool entries re-enqueued on boot",
             ).inc()
-            log_event("serve.journal.replayed", request_key=key,
+            log_event("serve.spool.replayed", request_key=key,
                       circuit=entry["circuit"])
 
     async def serve_forever(self, install_signals: bool = True) -> None:

@@ -85,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
             _check(not synthesized_twice,
                    "second request was neither deduped nor a cache hit")
             print("smoke: dedup/cache hit confirmed", flush=True)
-            _check(_metric(metrics, "journal_write_errors") == 0.0,
+            _check(_metric(metrics, "serve_spool_write_errors") == 0.0,
                    "spool writes failed on a healthy disk")
         finally:
             _stop_daemon(proc)

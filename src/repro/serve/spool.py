@@ -228,9 +228,8 @@ class RequestSpool:
 
     def _absorb(self, exc: OSError) -> None:
         self.write_errors += 1
-        # The name predates the spool; dashboards and the gauntlet read it.
         get_metrics_registry().counter(
-            "journal.write.errors",
+            "serve.spool.write_errors",
             "spool writes and moves, and lock opens, lost to OS-level "
             "faults",
         ).inc()

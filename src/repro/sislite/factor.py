@@ -98,10 +98,5 @@ def _most_common_literal_divisor(cubes: list[CubeSet]) -> list[CubeSet] | None:
     return [frozenset({lit})]
 
 
-def cover_literal_count(cubes: list[CubeSet]) -> int:
-    """Flat SOP literal count (diagnostic)."""
-    return literal_count(cubes)
-
-
 def is_factored_trivially(cubes: list[CubeSet]) -> bool:
     return not is_cube_free(cubes)

@@ -4,19 +4,26 @@ An intentionally injected fault (a lost FPRM cube, a reduction rule
 applied with its guard disabled, a colliding cache key) must be (a)
 caught by the differential oracles and (b) shrunk by the delta debugger
 to a minimal PLA reproducer.  These tests pin both halves, and also that
-injection cleanly restores the patched seams.
+injection cleanly restores the patched seams.  The run faults
+(``worker-hang``, ``budget-starvation``) must reach the options every
+run starts with.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.circuits import get
 from repro.circuits.generators import make_parity
+from repro.core.options import SynthesisOptions
+from repro.core.synthesis import synthesize_fprm
 from repro.expr.pla import pla_from_spec, write_pla
 from repro.fuzz.faults import FAULTS, RECOVERED_FAULTS, inject_fault
 from repro.fuzz.oracles import run_oracle
 from repro.fuzz.runner import FuzzConfig, FuzzRunner
+from repro.network.blif import write_blif
 from repro.network.to_expr import spec_from_pla_text
+from repro.obs.metrics import get_metrics_registry
 
 
 def _parity_spec(nbits=4):
@@ -80,6 +87,33 @@ def test_cache_key_collision_is_caught_by_cache_oracle():
         report = FuzzRunner(config).run()
     assert not report.ok
     assert report.failures[0].check == "cache-vs-uncached"
+
+
+def test_worker_hang_fault_arms_the_watchdog():
+    """Every rd53 worker hangs; the watchdog the fault sets kills the
+    pool once, and all three outputs are recovered in-process."""
+    spec = get("rd53")
+    clean = synthesize_fprm(spec, SynthesisOptions(verify=False))
+    registry = get_metrics_registry()
+    kills = registry.counter("resilience.watchdog_kills").value
+    fallbacks = registry.counter("resilience.serial_fallbacks").value
+    with inject_fault("worker-hang"):
+        hung = synthesize_fprm(spec, SynthesisOptions(verify=False, jobs=2))
+    assert registry.counter("resilience.watchdog_kills").value == kills + 1
+    assert registry.counter("resilience.serial_fallbacks").value == fallbacks + 3
+    assert write_blif(hung.network) == write_blif(clean.network)
+
+
+def test_budget_starvation_fault_starves_every_run():
+    spec = get("rd53")
+    starved = synthesize_fprm(spec, SynthesisOptions(verify=False, budget_seconds=0.0))
+    assert starved.trace.degradations
+    with inject_fault("budget-starvation"):
+        faulted = synthesize_fprm(spec, SynthesisOptions(verify=False))
+    assert faulted.trace.degradations == starved.trace.degradations
+    # The patch is reverted: the next run keeps its full effort.
+    clean = synthesize_fprm(spec, SynthesisOptions(verify=False))
+    assert clean.trace.degradations == []
 
 
 def test_unknown_fault_rejected():

@@ -1,9 +1,10 @@
-"""Run manifests: digests, fingerprints, comparability."""
+"""Run manifests: digests, fingerprints, dict round trip."""
 
 import json
 
 from repro.circuits import get
 from repro.core.options import SynthesisOptions
+from repro.flow import cache
 from repro.obs.manifest import (
     RunManifest,
     options_fingerprint,
@@ -46,16 +47,14 @@ def test_dict_roundtrip_and_schema():
     assert clone == manifest
 
 
-def test_comparable_to_lists_reasons():
+def test_default_options_fingerprint_is_pinned(monkeypatch):
+    # The options part of every result-cache key, run manifest and serve
+    # request key: a new value orphans every stored entry and request.
     options = SynthesisOptions()
-    a = RunManifest.for_run(get("z4ml"), options)
-    same = RunManifest.for_run(get("z4ml"), options)
-    assert a.comparable_to(same) == []
-    other_input = RunManifest.for_run(get("rd53"), options)
-    assert "input digests differ" in a.comparable_to(other_input)
-    other_options = RunManifest.for_run(
-        get("z4ml"), SynthesisOptions(redundancy_removal=False)
-    )
-    assert "options fingerprints differ" in a.comparable_to(other_options)
-    stale = RunManifest.from_dict({**a.as_dict(), "package_version": "0.0.1"})
-    assert any("package versions differ" in r for r in a.comparable_to(stale))
+    assert options_fingerprint(options) == "71c31d79a46149b7"
+    output = get("rd53").outputs[0]
+    assert cache.cache_key(output, options) == \
+        f"{cache.output_digest(output)}/71c31d79a46149b7"
+    # The cache key computes no fingerprint of its own.
+    monkeypatch.setattr(cache, "options_fingerprint", lambda _: "patched")
+    assert cache.cache_key(output, options).endswith("/patched")

@@ -7,9 +7,9 @@ import pytest
 from repro.circuits import get
 from repro.core.options import SynthesisOptions
 from repro.core.synthesis import synthesize_fprm
+from repro.obs.cli import main as trace_cli
 from repro.obs.schema import (
     TRACE_SCHEMA_VERSION,
-    main as schema_main,
     validate,
     validate_manifest,
     validate_metrics,
@@ -71,15 +71,24 @@ def test_metrics_validator_checks_each_metric():
 
 
 def test_schema_cli_exit_codes(tmp_path, trace_payload, capsys):
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps(trace_payload))
-    assert schema_main([str(good), "--kind", "trace"]) == 0
+    # `repro-trace validate` is the command-line schema check for every
+    # document kind: 0 valid, 1 invalid, 2 unreadable.
+    documents = {
+        "trace": trace_payload,
+        "manifest": trace_payload["manifest"],
+        "metrics": {"schema": 1,
+                    "metrics": {"a.b": {"type": "counter", "value": 1}}},
+    }
+    for kind, document in documents.items():
+        good = tmp_path / f"good-{kind}.json"
+        good.write_text(json.dumps(document))
+        assert trace_cli(["validate", str(good), "--kind", kind]) == 0
 
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"schema": 2}))
-    assert schema_main([str(bad), "--kind", "trace"]) == 1
+        bad = tmp_path / f"bad-{kind}.json"
+        bad.write_text(json.dumps({"schema": "two"}))
+        assert trace_cli(["validate", str(bad), "--kind", kind]) == 1
 
     unreadable = tmp_path / "not.json"
     unreadable.write_text("{nope")
-    assert schema_main([str(unreadable), "--kind", "trace"]) == 2
+    assert trace_cli(["validate", str(unreadable), "--kind", "trace"]) == 2
     capsys.readouterr()

@@ -1,4 +1,4 @@
-"""The repro-trace CLI: summary, diff (with exit codes), export, validate."""
+"""The repro-trace CLI: summary, export, validate (with exit codes), profile."""
 
 import json
 
@@ -8,7 +8,7 @@ from repro.circuits import get
 from repro.core.options import SynthesisOptions
 from repro.core.synthesis import synthesize_fprm
 from repro.flow.trace import FlowTrace
-from repro.obs.cli import diff_traces, main
+from repro.obs.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -24,16 +24,6 @@ def trace_file(tmp_path, trace_dict):
     return path
 
 
-def _slowed(trace_dict, pass_name, factor):
-    """A deep copy of the trace with one pass's records slowed down."""
-    clone = json.loads(json.dumps(trace_dict))
-    for record in clone["records"]:
-        if record["pass"] == pass_name:
-            record["seconds"] *= factor
-    clone["seconds_by_pass"] = {}  # force recompute from records
-    return clone
-
-
 # -- summary -----------------------------------------------------------------
 
 
@@ -43,70 +33,6 @@ def test_summary_prints_hotspots_and_manifest(trace_file, capsys):
     assert "flow trace: rd53" in out
     assert "hotspots (self-time):" in out
     assert "manifest:" in out
-
-
-# -- diff --------------------------------------------------------------------
-
-
-def test_diff_identical_traces_exits_zero(trace_file, capsys):
-    assert main(["diff", str(trace_file), str(trace_file),
-                 "--threshold", "0.2"]) == 0
-    assert "no regression" in capsys.readouterr().out
-
-
-def test_diff_exits_nonzero_on_injected_regression(
-    tmp_path, trace_dict, trace_file, capsys
-):
-    # Acceptance: a >= 20% per-pass slowdown fails a 0.2-threshold diff.
-    slowed = tmp_path / "slowed.json"
-    slowed.write_text(json.dumps(_slowed(trace_dict, "derive-fprm", 1.25)))
-    assert main(["diff", str(trace_file), str(slowed),
-                 "--threshold", "0.2"]) == 1
-    out = capsys.readouterr().out
-    assert "derive-fprm" in out and "regressed" in out
-
-
-def test_diff_threshold_is_respected(tmp_path, trace_dict, trace_file, capsys):
-    slowed = tmp_path / "slowed.json"
-    slowed.write_text(json.dumps(_slowed(trace_dict, "derive-fprm", 1.25)))
-    # A 25% slowdown passes a 50% threshold.
-    assert main(["diff", str(trace_file), str(slowed),
-                 "--threshold", "0.5"]) == 0
-    capsys.readouterr()
-
-
-def test_diff_min_seconds_floor_suppresses_noise(trace_dict):
-    slowed = _slowed(trace_dict, "derive-fprm", 1.25)
-    regressions, _ = diff_traces(trace_dict, slowed, threshold=0.2,
-                                 min_seconds=1e9)
-    assert regressions == []
-
-
-def test_diff_warns_on_incomparable_manifests(trace_dict):
-    other = json.loads(json.dumps(trace_dict))
-    other["manifest"]["input_digest"] = "0" * 64
-    _, notes = diff_traces(trace_dict, other)
-    assert any("may not be comparable" in n for n in notes)
-
-
-def test_diff_notes_added_and_removed_passes(trace_dict):
-    other = json.loads(json.dumps(trace_dict))
-    other["records"] = [
-        dict(r, **{"pass": "new-pass"}) if r["pass"] == "verify" else r
-        for r in other["records"]
-    ]
-    other["seconds_by_pass"] = {}
-    regressions, notes = diff_traces(trace_dict, other, threshold=1e9)
-    assert regressions == []
-    assert any("only in new trace: new-pass" in n for n in notes)
-    assert any("only in old trace: verify" in n for n in notes)
-
-
-def test_diff_improvement_is_a_note_not_a_regression(trace_dict):
-    faster = _slowed(trace_dict, "derive-fprm", 0.5)
-    regressions, notes = diff_traces(trace_dict, faster, threshold=0.2)
-    assert regressions == []
-    assert any("improved: derive-fprm" in n for n in notes)
 
 
 # -- export ------------------------------------------------------------------
@@ -132,6 +58,9 @@ def test_export_chrome_to_stdout(trace_file, capsys):
     assert main(["export", str(trace_file), "--chrome"]) == 0
     document = json.loads(capsys.readouterr().out)
     assert document["displayTimeUnit"] == "ms"
+    # Naming no format is a usage error.
+    assert main(["export", str(trace_file)]) == 2
+    assert "--chrome is the only format" in capsys.readouterr().err
 
 
 def test_trace_without_spans_is_rejected(tmp_path, trace_dict, capsys):
@@ -153,16 +82,27 @@ def test_trace_without_spans_is_rejected(tmp_path, trace_dict, capsys):
 
 
 def test_validate_subcommand(trace_file, tmp_path, capsys):
+    # Exit codes: 0 valid, 1 invalid, 2 unreadable.
     assert main(["validate", str(trace_file), "--kind", "trace"]) == 0
+    assert "valid trace document" in capsys.readouterr().out
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": 2}))
     assert main(["validate", str(bad), "--kind", "trace"]) == 1
-    capsys.readouterr()
+    assert "missing required key" in capsys.readouterr().out
+    unreadable = tmp_path / "unreadable.json"
+    unreadable.write_text("{not json")
+    assert main(["validate", str(unreadable), "--kind", "trace"]) == 2
+    assert "cannot read" in capsys.readouterr().err
 
 
-def test_unreadable_file_exits_with_usage_error(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["summary", str(tmp_path / "missing.json")])
+def test_unreadable_file_exits_with_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    for argv in (["summary", missing], ["validate", missing],
+                 ["profile", missing], ["export", missing, "--chrome"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"repro-trace: cannot read {missing}" in captured.err
 
 
 # -- summary --json -----------------------------------------------------------

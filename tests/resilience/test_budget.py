@@ -1,17 +1,13 @@
 """Wall-clock budgets: deadline checks, strided ticks, ambient install."""
 
-import os
-
 import pytest
 
 from repro.errors import BudgetExceededError
 from repro.resilience.budget import (
-    BUDGET_ENV,
     TICK_STRIDE,
     Budget,
     budget_tick,
     current_budget,
-    effective_budget_seconds,
     install_budget,
     note_degradation,
 )
@@ -97,30 +93,3 @@ def test_degradation_notes_accumulate_and_drain():
     note_degradation("polarity", "greedy")
     assert budget.degradations == []
 
-
-def test_effective_budget_seconds_precedence(monkeypatch):
-    monkeypatch.delenv(BUDGET_ENV, raising=False)
-    assert effective_budget_seconds(None) is None
-    assert effective_budget_seconds(2.5) == 2.5
-
-    monkeypatch.setenv(BUDGET_ENV, "7.5")
-    assert effective_budget_seconds(None) == 7.5
-    # An explicit option always beats the environment override.
-    assert effective_budget_seconds(1.0) == 1.0
-
-    monkeypatch.setenv(BUDGET_ENV, "not-a-number")
-    assert effective_budget_seconds(None) is None
-
-
-def test_budget_env_override_reaches_the_flow(monkeypatch):
-    from repro.circuits import get
-    from repro.core.options import SynthesisOptions
-    from repro.core.synthesis import synthesize_fprm
-    from repro.network.verify import equivalent_to_spec
-
-    monkeypatch.setenv(BUDGET_ENV, "0")
-    spec = get("rd53")
-    starved = synthesize_fprm(spec, SynthesisOptions(verify=False))
-    assert starved.trace.degradations  # the ladder was actually taken
-    assert equivalent_to_spec(starved.network, spec)
-    assert os.environ[BUDGET_ENV] == "0"  # flow does not consume the knob

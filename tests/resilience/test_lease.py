@@ -1,8 +1,8 @@
-"""Per-key locks: the ``flock`` that replaced heartbeat lease files.
+"""Per-key locks: the ``flock`` a serve worker holds on a request key.
 
 The lock lives with the rest of the state-dir layout in
-:mod:`repro.serve.spool`; the serve metrics still call it a lease
-(``serve.lease.acquired``/``serve.lease.waits``).
+:mod:`repro.serve.spool`; the serve metrics count it as
+``serve.lock.acquired``/``serve.lock.waits``.
 """
 
 import fcntl
@@ -181,7 +181,7 @@ def test_unrecreatable_directory_degrades_to_unbacked_lease(tmp_path):
     # The whole state tree is a *file*: makedirs cannot bring the lock
     # directory back.
     state.write_text("not a directory any more")
-    errors = get_metrics_registry().counter("journal.write.errors", "")
+    errors = get_metrics_registry().counter("serve.spool.write_errors", "")
     before = errors.value
     lock = spool.try_lock("k")
     # The job runs without exclusion rather than crashing or spinning,

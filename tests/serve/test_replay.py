@@ -115,12 +115,12 @@ def test_poisoned_journal_entry_does_not_block_boot(tmp_path):
               options={}, client="ci")
 
     before = get_metrics_registry().counter(
-        "serve.journal.replay_errors", "test probe").value
+        "serve.spool.replay_errors", "test probe").value
     replayed, jobs = boot_and_wait(state_dir, expect_done=1)
     assert replayed == 1
     assert jobs[0]["circuit"] == "rd53"
     after = get_metrics_registry().counter(
-        "serve.journal.replay_errors", "test probe").value
+        "serve.spool.replay_errors", "test probe").value
     assert after == before + 1
 
     # The poisoned entry was moved aside: a second boot neither replays
@@ -128,7 +128,7 @@ def test_poisoned_journal_entry_does_not_block_boot(tmp_path):
     replayed_again, _ = boot_and_wait(state_dir, expect_done=0)
     assert replayed_again == 0
     assert get_metrics_registry().counter(
-        "serve.journal.replay_errors", "test probe").value == after
+        "serve.spool.replay_errors", "test probe").value == after
     assert spool.pending_keys() == []
     [failed] = spool.failed()
     assert failed["entry"]["request_key"] == "poison"

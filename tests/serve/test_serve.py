@@ -47,6 +47,41 @@ def run_with_server(fn, config: EngineConfig | None = None, workers: int = 2):
     return asyncio.run(driver())
 
 
+def submit_twice_in_flight(client, server, pla: str, name: str) -> list:
+    """Submit ``pla`` from two threads at once; both responses.
+
+    The synthesis is held until ``/jobs`` counts both submissions, so
+    the second always finds the first in flight, however fast the
+    circuit synthesizes.
+    """
+    both_in = threading.Event()
+    synthesize = server.engine.synthesize
+
+    def gated(*args, **kwargs):
+        both_in.wait(30)
+        return synthesize(*args, **kwargs)
+
+    server.engine.synthesize = gated
+    results = [None, None]
+
+    def submit(i):
+        results[i] = client.synthesize(pla, name=name, wait=True)
+
+    threads = [threading.Thread(target=submit, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        jobs = client.jobs()["jobs"]
+        if sum(job["submissions"] for job in jobs) == 2:
+            break
+        time.sleep(0.01)
+    both_in.set()
+    for t in threads:
+        t.join()
+    return results
+
+
 # -- dedup (the satellite's acceptance test) ---------------------------------
 
 
@@ -56,34 +91,7 @@ def test_concurrent_identical_jobs_deduplicate():
     pla = pla_text("rd53")
 
     def scenario(client, server):
-        # Hold the synthesis until both submissions have arrived, so
-        # the second one always finds the first in flight.
-        both_in = threading.Event()
-        synthesize = server.engine.synthesize
-
-        def gated(*args, **kwargs):
-            both_in.wait(30)
-            return synthesize(*args, **kwargs)
-
-        server.engine.synthesize = gated
-        results = [None, None]
-
-        def submit(i):
-            results[i] = client.synthesize(pla, name="rd53", wait=True)
-
-        threads = [threading.Thread(target=submit, args=(i,))
-                   for i in range(2)]
-        for t in threads:
-            t.start()
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            jobs = client.jobs()["jobs"]
-            if sum(job["submissions"] for job in jobs) == 2:
-                break
-            time.sleep(0.01)
-        both_in.set()
-        for t in threads:
-            t.join()
+        results = submit_twice_in_flight(client, server, pla, "rd53")
         return results, server.queue.synth_calls
 
     (a, b), synth_calls = run_with_server(scenario)

@@ -133,11 +133,11 @@ def test_fresh_journal_write_errors_degrade_then_clear(tmp_path):
     monitor = HealthMonitor(spool=spool)
     assert monitor.check() == []
     spool.write_errors += 1  # a spool write failed since the last sample
-    assert monitor.check() == ["journal-write-errors"]
+    assert monitor.check() == ["spool-write-errors"]
     # No *new* failures in the next interval: lift optimistically.
     assert monitor.check() == []
     spool.write_errors += 1
-    assert monitor.check() == ["journal-write-errors"]
+    assert monitor.check() == ["spool-write-errors"]
 
 
 def test_fresh_cache_write_errors_degrade_then_clear(tmp_path):
@@ -151,7 +151,7 @@ def test_fresh_cache_write_errors_degrade_then_clear(tmp_path):
     # Each source is sampled on its own.
     tier.write_errors += 2
     spool.write_errors += 1
-    assert monitor.check() == ["journal-write-errors", "cache-write-errors"]
+    assert monitor.check() == ["spool-write-errors", "cache-write-errors"]
     assert monitor.check() == []
 
 

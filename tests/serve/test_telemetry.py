@@ -17,7 +17,7 @@ from repro.circuits import get
 from repro.flow.cache import get_result_cache
 from repro.serve.client import ServeClient  # noqa: F401 (re-exported helper)
 
-from .test_serve import pla_text, run_with_server
+from .test_serve import pla_text, run_with_server, submit_twice_in_flight
 
 
 @pytest.fixture(autouse=True)
@@ -131,18 +131,7 @@ def test_dedup_join_logs_same_correlation_id(log_file):
     pla = pla_text("rd53")
 
     def scenario(client, server):
-        results = [None, None]
-
-        def submit(i):
-            results[i] = client.synthesize(pla, name="rd53", wait=True)
-
-        threads = [threading.Thread(target=submit, args=(i,))
-                   for i in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        return results
+        return submit_twice_in_flight(client, server, pla, "rd53")
 
     a, b = run_with_server(scenario)
     assert a["correlation_id"] == b["correlation_id"]
